@@ -22,6 +22,7 @@
 #include "exp/condition.hpp"
 #include "matching/bipartite.hpp"
 #include "fault/fault.hpp"
+#include "fault/invariants.hpp"
 #include "load/engine.hpp"
 #include "load/source.hpp"
 #include "net/generators.hpp"
@@ -129,6 +130,38 @@ void BM_LargeTopoRepairLinkFlap(benchmark::State& state) {
   state.SetLabel(std::to_string(side * side) + " sites, per flap=2 repairs");
 }
 BENCHMARK(BM_LargeTopoRepairLinkFlap)->Arg(16)->Arg(32);
+
+void BM_RepairConsistencyCheck(benchmark::State& state) {
+  // The §12 checker's post-repair pass (InvariantChecker::on_repair) over
+  // a 16x16 grid's h=3 tables after one link flap: down, repair, up,
+  // repair. Timed per check; items = route lines visited.
+  Rng rng(13);
+  const Topology topo = make_grid(16, 16, DelayRange{0.5, 2.0}, rng);
+  const SiteId a = 16 * 8 + 8;
+  const SiteId b = a + 1;
+  fault::FaultPlan plan;
+  plan.events = {fault::FaultEvent{1.0, fault::FaultKind::kLinkDown, a, b},
+                 fault::FaultEvent{2.0, fault::FaultKind::kLinkUp, a, b}};
+  fault::FaultState faults(topo, plan);
+  auto tables = phased_apsp(topo, 6);
+  ApspRepairer repairer(topo, 6);
+  const SiteId changed[2] = {a, b};
+  for (const auto& ev : plan.events) {
+    faults.apply(ev);
+    repairer.repair(tables, &faults, changed);
+  }
+  std::size_t lines = 0;
+  for (const RoutingTable& t : tables) lines += t.slot_count();
+  fault::InvariantChecker checker;
+  for (auto _ : state) {
+    checker.on_repair(tables, topo, faults, 2.0);
+    benchmark::DoNotOptimize(checker.violations());
+  }
+  if (checker.violations() != 0) state.SkipWithError("tables inconsistent");
+  state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(lines));
+  state.SetLabel("256 sites, h=3, items = route lines");
+}
+BENCHMARK(BM_RepairConsistencyCheck);
 
 void BM_LargeTopoEndToEndRound(benchmark::State& state) {
   // Whole-system round at N=1024: construction (APSP + 1024 spheres) plus

@@ -8,14 +8,18 @@ namespace rtds {
 TaskId Dag::add_task(Time cost, std::string label) {
   RTDS_REQUIRE_MSG(!finalized_, "cannot mutate a finalized Dag");
   RTDS_REQUIRE_MSG(cost > 0.0, "task cost must be positive, got " << cost);
-  tasks_.push_back(Task{cost, std::move(label)});
-  return static_cast<TaskId>(tasks_.size() - 1);
+  costs_.push_back(cost);
+  if (!label.empty()) {
+    labels_.resize(costs_.size());
+    labels_.back() = std::move(label);
+  }
+  return static_cast<TaskId>(costs_.size() - 1);
 }
 
 void Dag::add_arc(TaskId from, TaskId to, double data_volume) {
   RTDS_REQUIRE_MSG(!finalized_, "cannot mutate a finalized Dag");
-  RTDS_REQUIRE(from < tasks_.size());
-  RTDS_REQUIRE(to < tasks_.size());
+  RTDS_REQUIRE(from < costs_.size());
+  RTDS_REQUIRE(to < costs_.size());
   RTDS_REQUIRE_MSG(from != to, "self-loop on task " << from);
   RTDS_REQUIRE(data_volume >= 0.0);
   for (const auto& a : arcs_)
@@ -25,7 +29,7 @@ void Dag::add_arc(TaskId from, TaskId to, double data_volume) {
 
 void Dag::finalize() {
   RTDS_REQUIRE_MSG(!finalized_, "Dag already finalized");
-  const auto n = tasks_.size();
+  const auto n = costs_.size();
 
   // CSR adjacency: count degrees, prefix-sum offsets, scatter, sort rows.
   pred_off_.assign(n + 1, 0);
@@ -89,21 +93,33 @@ void Dag::finalize() {
     const TaskId t = *it;
     Time best = 0.0;
     for (TaskId s : successors(t)) best = std::max(best, bottom_levels_[s]);
-    bottom_levels_[t] = tasks_[t].cost + best;
+    bottom_levels_[t] = costs_[t] + best;
     critical_path_ = std::max(critical_path_, bottom_levels_[t]);
   }
+  // The graph is frozen from here on, and a workload holds thousands of
+  // jobs for a whole run: return the add-only build's growth slack.
+  costs_.shrink_to_fit();
+  arcs_.shrink_to_fit();
+  sources_.shrink_to_fit();
+  sinks_.shrink_to_fit();
+}
+
+const std::string& Dag::label(TaskId t) const {
+  static const std::string kNone;
+  RTDS_REQUIRE(t < costs_.size());
+  return t < labels_.size() ? labels_[t] : kNone;
 }
 
 std::span<const TaskId> Dag::predecessors(TaskId t) const {
   require_finalized();
-  RTDS_REQUIRE(t < tasks_.size());
+  RTDS_REQUIRE(t < costs_.size());
   return {pred_data_.data() + pred_off_[t],
           pred_data_.data() + pred_off_[t + 1]};
 }
 
 std::span<const TaskId> Dag::successors(TaskId t) const {
   require_finalized();
-  RTDS_REQUIRE(t < tasks_.size());
+  RTDS_REQUIRE(t < costs_.size());
   return {succ_data_.data() + succ_off_[t],
           succ_data_.data() + succ_off_[t + 1]};
 }
@@ -132,16 +148,16 @@ const std::vector<TaskId>& Dag::topological_order() const {
 
 Time Dag::total_work() const {
   Time w = 0.0;
-  for (const auto& t : tasks_) w += t.cost;
+  for (const Time c : costs_) w += c;
   return w;
 }
 
 bool Dag::reaches(TaskId ancestor, TaskId descendant) const {
   require_finalized();
-  RTDS_REQUIRE(ancestor < tasks_.size());
-  RTDS_REQUIRE(descendant < tasks_.size());
+  RTDS_REQUIRE(ancestor < costs_.size());
+  RTDS_REQUIRE(descendant < costs_.size());
   if (ancestor == descendant) return false;
-  std::vector<bool> seen(tasks_.size(), false);
+  std::vector<bool> seen(costs_.size(), false);
   std::vector<TaskId> stack{ancestor};
   seen[ancestor] = true;
   while (!stack.empty()) {

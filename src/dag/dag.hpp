@@ -22,11 +22,6 @@ using TaskId = std::uint32_t;
 /// Globally unique job identifier assigned by the workload source.
 using JobId = std::uint64_t;
 
-struct Task {
-  Time cost = 0.0;        ///< Computational Complexity c(t), > 0.
-  std::string label;      ///< Optional human-readable name (DOT export).
-};
-
 struct Arc {
   TaskId from = 0;
   TaskId to = 0;
@@ -54,12 +49,14 @@ class Dag {
   void finalize();
   bool finalized() const { return finalized_; }
 
-  std::size_t task_count() const { return tasks_.size(); }
+  std::size_t task_count() const { return costs_.size(); }
   std::size_t arc_count() const { return arcs_.size(); }
-  bool empty() const { return tasks_.empty(); }
+  bool empty() const { return costs_.empty(); }
 
-  const Task& task(TaskId t) const { return tasks_.at(t); }
-  Time cost(TaskId t) const { return tasks_.at(t).cost; }
+  /// Computational Complexity c(t), > 0.
+  Time cost(TaskId t) const { return costs_.at(t); }
+  /// Optional human-readable name of task t (DOT export); empty if none.
+  const std::string& label(TaskId t) const;
   const std::vector<Arc>& arcs() const { return arcs_; }
 
   /// Immediate predecessors Γ⁻(t) / successors Γ⁺(t). Spans into the CSR
@@ -101,7 +98,10 @@ class Dag {
     RTDS_REQUIRE_MSG(finalized_, "Dag must be finalize()d before queries");
   }
 
-  std::vector<Task> tasks_;
+  std::vector<Time> costs_;
+  /// Labels are rare (hand-written DAGs): held only up to the last
+  /// labelled task, so unlabelled workloads pay nothing per task.
+  std::vector<std::string> labels_;
   std::vector<Arc> arcs_;
   // CSR adjacency (offsets + packed ids): two allocations total instead of
   // one vector per task — DAG construction and copies sit on the hot path

@@ -22,7 +22,7 @@ void write_dag(const Dag& dag, std::ostream& os) {
   os.precision(17);
   for (TaskId t = 0; t < dag.task_count(); ++t) {
     os << "task " << t << ' ' << dag.cost(t);
-    if (!dag.task(t).label.empty()) os << ' ' << dag.task(t).label;
+    if (!dag.label(t).empty()) os << ' ' << dag.label(t);
     os << "\n";
   }
   os << "arcs " << dag.arc_count() << "\n";

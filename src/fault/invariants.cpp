@@ -77,15 +77,49 @@ void InvariantChecker::on_send_seq(SiteId from, SiteId to, std::uint64_t seq,
 void InvariantChecker::on_repair(const std::vector<RoutingTable>& tables,
                                  const Topology& topo,
                                  const FaultState& faults, Time now) {
+  RTDS_REQUIRE(tables.size() == topo.site_count());
+  // One sequential sweep. Site s's lines ascend by destination, so each
+  // neighbour's table is read through a forward-only cursor: the next
+  // hop's line for `dest` is a merge step, not a binary search. Each
+  // port carries its link's liveness and delay, resolved once per site
+  // through the adjacency's link id.
+  struct Port {
+    SiteId site;
+    bool live;
+    Time delay;
+    const RoutingTable* table;
+    std::size_t cursor;
+  };
+  std::vector<Port> ports;
   for (SiteId s = 0; s < tables.size(); ++s) {
     const RoutingTable& table = tables[s];
+    ports.clear();
+    for (const Neighbor& nb : topo.neighbors(s))
+      ports.push_back(Port{nb.site,
+                           faults.site_up(s) && faults.site_up(nb.site) &&
+                               faults.link_index_up(nb.link),
+                           nb.delay, &tables[nb.site], 0});
     for (std::size_t slot = 0; slot < table.slot_count(); ++slot) {
       const RouteLine& line = table.line_at(slot);
       if (line.dist >= kInfiniteTime) continue;  // withdrawn tombstone
       const SiteId dest = table.dest_at(slot);
       if (dest == s) continue;  // trivial self route
       const SiteId nh = line.next_hop;
-      if (!faults.link_up(s, nh)) {
+      Port* port = nullptr;
+      for (Port& p : ports) {
+        if (p.site == nh) {
+          port = &p;
+          break;
+        }
+      }
+      if (port == nullptr) {
+        std::ostringstream os;
+        os << "repair-consistency: site " << s << " routes to " << dest
+           << " via " << nh << ", which is not a neighbour";
+        violate(os.str(), now, s);
+        continue;
+      }
+      if (!port->live) {
         std::ostringstream os;
         os << "repair-consistency: site " << s << " routes to " << dest
            << " over dead link to " << nh;
@@ -93,11 +127,11 @@ void InvariantChecker::on_repair(const std::vector<RoutingTable>& tables,
         continue;
       }
       if (nh == dest) {
-        if (!time_eq(line.dist, topo.link_delay(s, nh)) || line.hops != 1) {
+        if (!time_eq(line.dist, port->delay) || line.hops != 1) {
           std::ostringstream os;
           os << "repair-consistency: site " << s << " one-hop route to "
              << dest << " has dist=" << line.dist << " hops=" << line.hops
-             << " but the link delay is " << topo.link_delay(s, nh);
+             << " but the link delay is " << port->delay;
           violate(os.str(), now, s);
         }
         continue;
@@ -106,7 +140,12 @@ void InvariantChecker::on_repair(const std::vector<RoutingTable>& tables,
       // the next hop's own line may use MORE hops (it has the full budget
       // again), so it is a lower bound — a route strictly below it is a
       // stale under-estimate the repair failed to re-converge.
-      const RouteLine* via = tables[nh].find(dest);
+      const RoutingTable& next = *port->table;
+      std::size_t& at = port->cursor;
+      while (at < next.slot_count() && next.dest_at(at) < dest) ++at;
+      const RouteLine* via = at < next.slot_count() && next.dest_at(at) == dest
+                                 ? &next.line_at(at)
+                                 : nullptr;
       if (via == nullptr || via->dist >= kInfiniteTime) {
         std::ostringstream os;
         os << "repair-consistency: site " << s << " routes to " << dest
@@ -114,7 +153,7 @@ void InvariantChecker::on_repair(const std::vector<RoutingTable>& tables,
         violate(os.str(), now, s);
         continue;
       }
-      const Time bound = topo.link_delay(s, nh) + via->dist;
+      const Time bound = port->delay + via->dist;
       if (!time_ge(line.dist, bound)) {
         std::ostringstream os;
         os << "repair-consistency: site " << s << " -> " << dest << " via "

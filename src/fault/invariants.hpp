@@ -3,11 +3,14 @@
 // never leak, the simulation clock never runs backwards — and under the
 // adversarial network model (duplication, reordering, partitions) they are
 // exactly what the hardening must preserve. RtdsSystem registers one
-// checker per run when enabled; each hook is O(1), and violations are
-// counted into RunMetrics::invariant_violations and reported through the
-// obs layer (an "invariant" counter plus a trace instant). In fatal mode
-// (the tests' default) the first violation throws, so a chaos soak cannot
-// quietly pass with a broken invariant.
+// checker per run when enabled. Every per-event hook is O(1) (expected
+// O(1) for the hash probes of on_decision and on_send_seq); on_repair is
+// one sequential pass over every route line (see its comment), and
+// finish() is O(1). Violations are counted into
+// RunMetrics::invariant_violations and reported through the obs layer (an
+// "invariant" counter plus a trace instant). In fatal mode (the tests'
+// default) the first violation throws, so a chaos soak cannot quietly
+// pass with a broken invariant.
 //
 // Catalog:
 //   monotone-time      simulator events execute at non-decreasing times
@@ -18,9 +21,10 @@
 //   lock-conservation  no site still holds a PCS lock after the run drains
 //   seq-monotone       per-(sender,receiver) protocol sequence numbers are
 //                      strictly increasing — the dedup window's contract
-//   repair-consistency after every routing repair each live route crosses a
-//                      live link and agrees with its next hop's table
-//                      (Bellman triangle: dist = link delay + next-hop dist)
+//   repair-consistency after every routing repair each live route leaves
+//                      through a neighbour over a live link and agrees with
+//                      its next hop's table (one-hop: dist = link delay;
+//                      else dist >= link delay + next-hop dist)
 //   shed-conservation  bounded-queue accounting balances: every enqueue is
 //                      matched by a dequeue/shed/crash-clear, and node-level
 //                      shed events equal the kShed rejections in RunMetrics
@@ -74,9 +78,17 @@ class InvariantChecker {
   /// Send hook: the per-(sender,receiver) protocol sequence stamp must be
   /// strictly increasing, crashes included — the dedup window's contract.
   void on_send_seq(SiteId from, SiteId to, std::uint64_t seq, Time now);
-  /// Post-repair hook: every live route must cross a live link and agree
-  /// with its next hop's table (dist = link delay + next-hop dist, hops =
-  /// next-hop hops + 1). Catches under-dirtied incremental repairs.
+  /// Post-repair hook: every live route must name a neighbour as its next
+  /// hop, cross a live link, and agree with its next hop's table (a
+  /// one-hop route has dist = link delay and hops = 1; a longer one has
+  /// dist >= link delay + next-hop dist). Catches under-dirtied
+  /// incremental repairs. `faults` must view `topo`, and `tables` must
+  /// hold one table per site. Cost: one pass over every table's lines in
+  /// destination order; each line resolves its next hop by a scan of the
+  /// owner's few neighbours (their links' liveness read once per site
+  /// through Neighbor::link) and reads the next hop's line through a
+  /// forward-only per-neighbour cursor — no searches, O(lines + degree x
+  /// table size) per call.
   void on_repair(const std::vector<RoutingTable>& tables, const Topology& topo,
                  const FaultState& faults, Time now);
   /// Bounded admission-queue accounting hooks (shed-conservation).

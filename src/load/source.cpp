@@ -82,7 +82,7 @@ void validate_spec(const ArrivalSpec& spec) {
 Dag decorate_volumes(const Dag& dag, double lo, double hi, Rng& rng) {
   Dag out;
   for (TaskId t = 0; t < dag.task_count(); ++t)
-    out.add_task(dag.cost(t), dag.task(t).label);
+    out.add_task(dag.cost(t), dag.label(t));
   for (const auto& arc : dag.arcs()) out.add_arc(arc.from, arc.to, rng.uniform(lo, hi));
   out.finalize();
   return out;

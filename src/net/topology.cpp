@@ -19,9 +19,10 @@ void Topology::add_link(SiteId a, SiteId b, Time delay, double throughput) {
   RTDS_REQUIRE_MSG(delay > 0.0, "link delay must be positive, got " << delay);
   RTDS_REQUIRE(throughput >= 0.0);
   RTDS_REQUIRE_MSG(!adjacent(a, b), "parallel link " << a << "--" << b);
+  const auto link = static_cast<std::uint32_t>(links_.size());
   links_.push_back(Link{a, b, delay, throughput});
-  adjacency_[a].push_back(Neighbor{b, delay, throughput});
-  adjacency_[b].push_back(Neighbor{a, delay, throughput});
+  adjacency_[a].push_back(Neighbor{b, link, delay, throughput});
+  adjacency_[b].push_back(Neighbor{a, link, delay, throughput});
 }
 
 bool Topology::adjacent(SiteId a, SiteId b) const {

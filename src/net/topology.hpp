@@ -27,11 +27,17 @@ struct Link {
   double throughput = 0.0; ///< Optional §13 decoration; 0 = ignore volumes.
 };
 
+/// One adjacency entry. `link` is the entry's index into Topology::links():
+/// the adjacency list is the one place that resolves (site, neighbour) to
+/// a link, so per-link state (fault::FaultState's up/down mask) is reached
+/// by a scan of a few neighbours instead of a search over all links.
 struct Neighbor {
   SiteId site = 0;
+  std::uint32_t link = 0;  ///< index into Topology::links()
   Time delay = 0.0;
   double throughput = 0.0;
 };
+static_assert(sizeof(Neighbor) == 24, "link id must fill the padding");
 
 /// Immutable-after-build weighted undirected graph.
 class Topology {

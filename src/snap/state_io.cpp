@@ -240,9 +240,9 @@ void Access::load(Reader& r, Pcs& p) {
 // --- fault/fault.hpp ---
 
 void Access::save(Writer& w, const fault::FaultState& f) {
-  // topo_ (reference) and link_of_pair_ (ctor-derived) are not stored; the
-  // perturbation parameters ARE, as a guard: they must round-trip equal to
-  // what the fresh construction derived from the plan.
+  // topo_ (a reference) is not stored; the perturbation parameters ARE, as
+  // a guard: they must round-trip equal to what the fresh construction
+  // derived from the plan.
   w.u64(f.site_up_.size());
   for (char c : f.site_up_) w.u8(static_cast<std::uint8_t>(c));
   w.u64(f.link_up_.size());
@@ -648,8 +648,8 @@ void Access::save_job(Writer& w, SaveContext& ctx,
   w.b(dag.finalized());
   w.u64(dag.task_count());
   for (TaskId t = 0; t < dag.task_count(); ++t) {
-    w.f64(dag.task(t).cost);
-    w.str(dag.task(t).label);
+    w.f64(dag.cost(t));
+    w.str(dag.label(t));
   }
   w.u64(dag.arc_count());
   for (const Arc& arc : dag.arcs()) {

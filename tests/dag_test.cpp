@@ -15,7 +15,7 @@ TEST(Dag, BuildAndQuery) {
   Dag dag;
   const TaskId a = dag.add_task(1.0, "a");
   const TaskId b = dag.add_task(2.0);
-  const TaskId c = dag.add_task(3.0);
+  const TaskId c = dag.add_task(3.0, "c");
   dag.add_arc(a, b);
   dag.add_arc(b, c);
   dag.add_arc(a, c);
@@ -27,6 +27,10 @@ TEST(Dag, BuildAndQuery) {
   EXPECT_EQ(std::vector<TaskId>(dag.predecessors(c).begin(), dag.predecessors(c).end()), (std::vector<TaskId>{a, b}));
   EXPECT_EQ(dag.topological_order(), (std::vector<TaskId>{a, b, c}));
   EXPECT_DOUBLE_EQ(dag.total_work(), 6.0);
+  EXPECT_EQ(dag.label(a), "a");
+  EXPECT_EQ(dag.label(b), "");
+  EXPECT_EQ(dag.label(c), "c");
+  EXPECT_THROW(dag.label(3), ContractViolation);
   EXPECT_TRUE(dag.reaches(a, c));
   EXPECT_FALSE(dag.reaches(c, a));
   EXPECT_FALSE(dag.reaches(a, a));

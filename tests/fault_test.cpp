@@ -24,6 +24,7 @@
 #include "exp/scenarios.hpp"
 #include "exp/sinks.hpp"
 #include "fault/fault.hpp"
+#include "net/generators.hpp"
 #include "policy/policy.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -123,6 +124,65 @@ TEST(FaultState, TracksSiteAndLinkLiveness) {
   EXPECT_TRUE(state.apply(FaultEvent{3.0, FaultKind::kLinkDown, 1, 2}));
   EXPECT_FALSE(state.link_up(2, 1));
   EXPECT_EQ(state.live_link_count(topo), 1u);
+}
+
+TEST(FaultState, LinkUpAgreesWithBruteForceOverLinks) {
+  // link_up resolves a pair through the adjacency's link ids; a brute
+  // force finds the pair's links() entry by scanning every link. Random
+  // crash/flap/partition histories on every generator family must never
+  // make the two disagree, for either argument order.
+  for (int shape = 0; shape <= static_cast<int>(NetShape::kScaleFree);
+       ++shape) {
+    Rng rng(300 + static_cast<std::uint64_t>(shape));
+    const Topology topo = make_net(static_cast<NetShape>(shape), 24,
+                                   DelayRange{0.5, 2.0}, rng);
+    const auto n = static_cast<std::int64_t>(topo.site_count());
+    const auto& links = topo.links();
+    const FaultPlan empty;
+    FaultState state(topo, empty);
+    for (int step = 0; step < 60; ++step) {
+      FaultEvent ev{0.0, FaultKind::kHeal, 0, kNoSite};
+      const auto roll = rng.uniform_int(0, 9);
+      if (roll < 3) {
+        ev.kind = roll == 0 ? FaultKind::kSiteDown : FaultKind::kSiteUp;
+        ev.a = static_cast<SiteId>(rng.uniform_int(0, n - 1));
+      } else if (roll < 8) {
+        const Link& l = links[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(links.size()) - 1))];
+        ev.kind = roll < 6 ? FaultKind::kLinkDown : FaultKind::kLinkUp;
+        const bool flip = rng.bernoulli(0.5);
+        ev.a = flip ? l.b : l.a;
+        ev.b = flip ? l.a : l.b;
+      } else if (roll == 8) {
+        ev.kind = FaultKind::kPartition;
+        ev.a = static_cast<SiteId>(rng.uniform_int(1, n - 1));
+      }
+      state.apply(ev);
+      std::size_t live = 0;
+      for (SiteId a = 0; a < topo.site_count(); ++a) {
+        for (const Neighbor& nb : topo.neighbors(a)) {
+          std::size_t i = 0;
+          while (!((links[i].a == a && links[i].b == nb.site) ||
+                   (links[i].b == a && links[i].a == nb.site)))
+            ++i;
+          const bool brute = state.site_up(a) && state.site_up(nb.site) &&
+                             state.link_index_up(i);
+          ASSERT_EQ(state.link_up(a, nb.site), brute)
+              << to_string(static_cast<NetShape>(shape)) << " step " << step
+              << " link " << a << "--" << nb.site;
+          live += brute ? 1 : 0;
+        }
+      }
+      ASSERT_EQ(state.live_link_count(topo), live / 2);
+    }
+  }
+}
+
+TEST(FaultState, LinkEventOnAMissingLinkIsRejected) {
+  const Topology topo = line3();
+  FaultState state(topo, FaultPlan{});
+  EXPECT_THROW(state.apply(FaultEvent{1.0, FaultKind::kLinkDown, 0, 2}),
+               ContractViolation);
 }
 
 TEST(SimNetworkFaults, DeliveryToDeadSiteIsDropped) {

@@ -1,9 +1,11 @@
 // Fuzzer subsystem regression (DESIGN.md §15).
 //
 // Five contracts are pinned here:
-//  (a) the three PR-10 invariants (seq-monotone, repair-consistency,
-//      shed-conservation) each fire on a hand-built violation and stay
-//      silent on the legal counterpart;
+//  (a) the three invariants added with the fuzzer (seq-monotone,
+//      repair-consistency, shed-conservation) each fire on a hand-built
+//      violation and stay silent on the legal counterpart, and the
+//      repair-consistency sweep reports exactly what a per-line reference
+//      oracle reports on randomly faulted and corrupted tables;
 //  (b) the .repro text format round-trips bit-for-bit for generated
 //      scenarios, and generation is a pure function of (seed, index);
 //  (c) a --runs-bounded campaign reports identical findings whatever the
@@ -15,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,10 +32,13 @@
 #include "fuzz/generator.hpp"
 #include "fuzz/scenario.hpp"
 #include "fuzz/shrink.hpp"
+#include "net/generators.hpp"
 #include "net/topology.hpp"
 #include "routing/apsp.hpp"
 #include "routing/routing_table.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
+#include "util/time.hpp"
 
 namespace rtds {
 namespace {
@@ -93,6 +100,284 @@ TEST(FuzzInvariants, RepairConsistencyRejectsRouteOverDeadLink) {
   faults.apply(FaultEvent{0.0, FaultKind::kLinkDown, 0, 1});
   InvariantChecker chk;
   EXPECT_THROW(chk.on_repair(tables, topo, faults, 1.0), ContractViolation);
+}
+
+/// Sets the process-wide fatal flag for one scope.
+class FatalMode {
+ public:
+  explicit FatalMode(bool on) : prev_(fault::invariants_fatal()) {
+    fault::set_invariants_fatal(on);
+  }
+  ~FatalMode() { fault::set_invariants_fatal(prev_); }
+  FatalMode(const FatalMode&) = delete;
+  FatalMode& operator=(const FatalMode&) = delete;
+
+ private:
+  bool prev_;
+};
+
+TEST(FuzzInvariants, RepairConsistencyRejectsNextHopThatIsNotANeighbour) {
+  // 0 -> 2 recorded with no next hop, a next hop outside the topology, and
+  // next hop 2 itself (0 and 2 are not adjacent on the line). Each is one
+  // violation: counted in non-fatal mode, thrown in fatal mode.
+  const Topology topo = line3();
+  const FaultPlan empty;
+  const FaultState faults(topo, empty);
+  for (const SiteId bad : {kNoSite, SiteId{7}, SiteId{2}}) {
+    auto tables = phased_apsp(topo, 4);
+    tables[0].set_line(2, RouteLine{2.0, bad, 2});
+    {
+      const FatalMode lenient(false);
+      InvariantChecker chk;
+      EXPECT_NO_THROW(chk.on_repair(tables, topo, faults, 1.0)) << bad;
+      EXPECT_EQ(chk.violations(), 1u) << bad;
+    }
+    const FatalMode fatal(true);
+    InvariantChecker chk;
+    try {
+      chk.on_repair(tables, topo, faults, 1.0);
+      ADD_FAILURE() << "next hop " << bad << " was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("is not a neighbour"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// Reference oracle: the repair-consistency pass as one lookup chain per
+/// line (FaultState::link_up, Topology::link_delay, RoutingTable::find).
+/// Returns every violation message in report order. Next hops must be
+/// adjacent to their owner — link_up requires the link to exist.
+std::vector<std::string> reference_repair_check(
+    const std::vector<RoutingTable>& tables, const Topology& topo,
+    const FaultState& faults) {
+  std::vector<std::string> out;
+  for (SiteId s = 0; s < tables.size(); ++s) {
+    const RoutingTable& table = tables[s];
+    for (std::size_t slot = 0; slot < table.slot_count(); ++slot) {
+      const RouteLine& line = table.line_at(slot);
+      if (line.dist >= kInfiniteTime) continue;
+      const SiteId dest = table.dest_at(slot);
+      if (dest == s) continue;
+      const SiteId nh = line.next_hop;
+      std::ostringstream os;
+      if (!faults.link_up(s, nh)) {
+        os << "repair-consistency: site " << s << " routes to " << dest
+           << " over dead link to " << nh;
+        out.push_back(os.str());
+        continue;
+      }
+      if (nh == dest) {
+        if (!time_eq(line.dist, topo.link_delay(s, nh)) || line.hops != 1) {
+          os << "repair-consistency: site " << s << " one-hop route to "
+             << dest << " has dist=" << line.dist << " hops=" << line.hops
+             << " but the link delay is " << topo.link_delay(s, nh);
+          out.push_back(os.str());
+        }
+        continue;
+      }
+      const RouteLine* via = tables[nh].find(dest);
+      if (via == nullptr || via->dist >= kInfiniteTime) {
+        os << "repair-consistency: site " << s << " routes to " << dest
+           << " via " << nh << " which has no route there";
+        out.push_back(os.str());
+        continue;
+      }
+      const Time bound = topo.link_delay(s, nh) + via->dist;
+      if (!time_ge(line.dist, bound)) {
+        os << "repair-consistency: site " << s << " -> " << dest << " via "
+           << nh << " claims dist=" << line.dist
+           << " below the next hop's lower bound " << bound;
+        out.push_back(os.str());
+      }
+    }
+  }
+  return out;
+}
+
+/// A random live non-self line of a random site; false when the draw
+/// lands on a site whose table holds none.
+bool pick_line(const std::vector<RoutingTable>& tables, Rng& rng, SiteId& s,
+               SiteId& dest, RouteLine& line) {
+  s = static_cast<SiteId>(
+      rng.uniform_int(0, static_cast<std::int64_t>(tables.size()) - 1));
+  std::vector<std::size_t> live;
+  for (std::size_t slot = 0; slot < tables[s].slot_count(); ++slot)
+    if (tables[s].line_at(slot).dist < kInfiniteTime &&
+        tables[s].dest_at(slot) != s)
+      live.push_back(slot);
+  if (live.empty()) return false;
+  const std::size_t slot = live[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+  dest = tables[s].dest_at(slot);
+  line = tables[s].line_at(slot);
+  return true;
+}
+
+SiteId pick_neighbour(const Topology& topo, SiteId s, Rng& rng) {
+  const auto& nbs = topo.neighbors(s);
+  return nbs[static_cast<std::size_t>(
+                 rng.uniform_int(0, static_cast<std::int64_t>(nbs.size()) - 1))]
+      .site;
+}
+
+/// Applies one random table corruption of the given kind; every next hop
+/// it writes stays adjacent to its owner (the oracle's precondition).
+void corrupt(int kind, std::vector<RoutingTable>& tables, const Topology& topo,
+             FaultState& faults, Rng& rng) {
+  SiteId s = 0, dest = 0;
+  RouteLine line;
+  switch (kind) {
+    case 0:  // lowered distance
+      if (pick_line(tables, rng, s, dest, line)) {
+        line.dist *= rng.uniform(0.3, 0.99);
+        tables[s].set_line(dest, line);
+      }
+      break;
+    case 1: {  // next hop over a dead link: down one, or reuse one
+      if (!pick_line(tables, rng, s, dest, line)) break;
+      const SiteId n = pick_neighbour(topo, s, rng);
+      faults.apply(FaultEvent{0.0, FaultKind::kLinkDown, s, n});
+      line.next_hop = n;
+      if (n == dest) line.hops = 1;
+      tables[s].set_line(dest, line);
+      break;
+    }
+    case 2: {  // next hop without the route (withdrawn there: a tombstone)
+      if (!pick_line(tables, rng, s, dest, line) || line.next_hop == dest)
+        break;
+      tables[line.next_hop].set_line(dest, RouteLine{});
+      break;
+    }
+    case 3: {  // wrong one-hop delay or hops
+      s = static_cast<SiteId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tables.size()) - 1));
+      const SiteId n = pick_neighbour(topo, s, rng);
+      line = RouteLine{topo.link_delay(s, n), n, 1};
+      if (rng.bernoulli(0.5))
+        line.dist += rng.uniform(0.01, 1.0);
+      else
+        line.hops = 2;
+      tables[s].set_line(n, line);
+      break;
+    }
+    case 4: {  // tombstones, at held and at fresh destinations
+      s = static_cast<SiteId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tables.size()) - 1));
+      dest = static_cast<SiteId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tables.size()) - 1));
+      if (dest != s) tables[s].set_line(dest, RouteLine{});
+      break;
+    }
+    case 5: {  // lines owned by a crashed site (crashed without repair)
+      s = static_cast<SiteId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(tables.size()) - 1));
+      faults.apply(FaultEvent{0.0, FaultKind::kSiteDown, s, kNoSite});
+      const SiteId n = pick_neighbour(topo, s, rng);
+      tables[s].set_line(n, RouteLine{topo.link_delay(s, n), n, 1});
+      break;
+    }
+    default: {  // any neighbour as next hop
+      if (!pick_line(tables, rng, s, dest, line)) break;
+      line.next_hop = pick_neighbour(topo, s, rng);
+      tables[s].set_line(dest, line);
+      break;
+    }
+  }
+}
+
+TEST(FuzzInvariants, RepairConsistencySweepMatchesReferenceOracle) {
+  // Random topologies from several generator families x random fault
+  // histories (crashes, link flaps, partitions; each change repaired or
+  // left stale) x random table corruptions: the sweep must report the
+  // oracle's violation count, and throw the oracle's first message.
+  const NetShape shapes[] = {NetShape::kGrid, NetShape::kScaleFree,
+                             NetShape::kSmallWorld, NetShape::kErdosRenyi,
+                             NetShape::kRing, NetShape::kTree};
+  std::uint64_t clean = 0, dirty = 0;
+  std::set<std::string> kinds_seen;
+  for (std::uint64_t trial = 0; trial < 180; ++trial) {
+    Rng rng(9000 + trial);
+    const NetShape shape = shapes[trial % std::size(shapes)];
+    const Topology topo =
+        make_net(shape, static_cast<std::size_t>(rng.uniform_int(8, 40)),
+                 DelayRange{0.5, 2.0}, rng);
+    const auto n = static_cast<std::int64_t>(topo.site_count());
+    const std::size_t phases = 2 * static_cast<std::size_t>(
+                                       rng.uniform_int(1, 3));
+    const FaultPlan empty;
+    FaultState faults(topo, empty);
+    auto tables = phased_apsp(topo, phases);
+    ApspRepairer repairer(topo, phases);
+    const auto events = rng.uniform_int(0, 12);
+    for (std::int64_t e = 0; e < events; ++e) {
+      FaultEvent ev{0.0, FaultKind::kSiteDown, 0, kNoSite};
+      const auto roll = rng.uniform_int(0, 9);
+      if (roll < 2) {
+        ev.kind = roll == 0 ? FaultKind::kSiteDown : FaultKind::kSiteUp;
+        ev.a = static_cast<SiteId>(rng.uniform_int(0, n - 1));
+      } else if (roll < 8) {
+        const Link& l = topo.links()[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(topo.link_count()) - 1))];
+        ev.kind = roll < 5 ? FaultKind::kLinkDown : FaultKind::kLinkUp;
+        const bool flip = rng.bernoulli(0.5);
+        ev.a = flip ? l.b : l.a;
+        ev.b = flip ? l.a : l.b;
+      } else if (roll == 8) {
+        ev.kind = FaultKind::kPartition;
+        ev.a = static_cast<SiteId>(rng.uniform_int(1, n - 1));
+      } else {
+        ev.kind = FaultKind::kHeal;
+      }
+      if (!faults.apply(ev) || rng.bernoulli(0.25)) continue;  // stale
+      std::vector<SiteId> changed;
+      if (ev.kind == FaultKind::kPartition || ev.kind == FaultKind::kHeal) {
+        changed = faults.partition_changed_sites();
+      } else {
+        changed.assign(1, ev.a);
+        if (ev.b != kNoSite) changed.push_back(ev.b);
+      }
+      repairer.repair(tables, &faults, changed);
+    }
+    const auto corruptions = rng.uniform_int(0, 3);
+    for (std::int64_t c = 0; c < corruptions; ++c)
+      corrupt(static_cast<int>(rng.uniform_int(0, 6)), tables, topo, faults,
+              rng);
+
+    const std::vector<std::string> expected =
+        reference_repair_check(tables, topo, faults);
+    {
+      const FatalMode lenient(false);
+      InvariantChecker chk;
+      chk.on_repair(tables, topo, faults, 1.0);
+      ASSERT_EQ(chk.violations(), expected.size()) << "trial " << trial;
+    }
+    if (expected.empty()) {
+      ++clean;
+      continue;
+    }
+    ++dirty;
+    for (const std::string& msg : expected)
+      kinds_seen.insert(msg.find("dead link") != std::string::npos ? "dead link"
+                        : msg.find("one-hop") != std::string::npos ? "one-hop"
+                        : msg.find("no route") != std::string::npos
+                            ? "no route"
+                            : "lower bound");
+    const FatalMode fatal(true);
+    InvariantChecker chk;
+    try {
+      chk.on_repair(tables, topo, faults, 1.0);
+      ADD_FAILURE() << "trial " << trial << ": no throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_EQ(e.what(), "invariant violated: " + expected.front())
+          << "trial " << trial;
+    }
+  }
+  // Not vacuous: both verdicts occur, and every message kind is exercised.
+  EXPECT_GT(clean, 10u);
+  EXPECT_GT(dirty, 10u);
+  EXPECT_EQ(kinds_seen.size(), 4u);
 }
 
 TEST(FuzzInvariants, ShedConservationRejectsQueueAccountingDrift) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "net/generators.hpp"
 #include "net/shortest_paths.hpp"
@@ -134,6 +135,29 @@ TEST_P(NetShapes, ConnectedAndRoughlyRequestedSize) {
   EXPECT_GE(topo.site_count(), 4u);
   EXPECT_LE(topo.site_count(), 3 * approx + 8);
   for (const auto& l : topo.links()) EXPECT_GT(l.delay, 0.0);
+}
+
+TEST_P(NetShapes, AdjacencyLinkIdsNameTheirLinks) {
+  // neighbors(s)[k].link is the links() index of the s--site link: same
+  // endpoints, delay and throughput; every link is named exactly twice,
+  // once from each endpoint.
+  Rng rng(12);
+  const auto [shape, approx] = GetParam();
+  const Topology topo = make_net(shape, approx, DelayRange{0.5, 2.0}, rng);
+  std::vector<int> named(topo.link_count(), 0);
+  for (SiteId s = 0; s < topo.site_count(); ++s) {
+    for (const Neighbor& nb : topo.neighbors(s)) {
+      ASSERT_LT(nb.link, topo.link_count()) << to_string(shape);
+      const Link& l = topo.links()[nb.link];
+      EXPECT_TRUE((l.a == s && l.b == nb.site) || (l.b == s && l.a == nb.site))
+          << to_string(shape) << " site " << s << " link " << nb.link;
+      EXPECT_EQ(l.delay, nb.delay);
+      EXPECT_EQ(l.throughput, nb.throughput);
+      ++named[nb.link];
+    }
+  }
+  for (std::size_t i = 0; i < named.size(); ++i)
+    EXPECT_EQ(named[i], 2) << to_string(shape) << " link " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(
