@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -320,10 +321,10 @@ TEST(SweepJournal, ResumeMissingFileThrows) {
 
 // ---------------------------------------------------- (d) negative --
 
-std::string valid_snapshot(const ChaosCase& cc) {
+std::string valid_snapshot(const ChaosCase& cc, std::size_t cut = 400) {
   RtdsSystem sys(cc.condition.topo, cc.cfg);
   sys.start(cc.condition.arrivals);
-  sys.step_events(400);
+  sys.step_events(cut);
   return Snapshot::save(sys);
 }
 
@@ -463,6 +464,79 @@ TEST(OpenCheckpoint, EngineResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.steady.completed, reference.steady.completed);
   EXPECT_EQ(resumed.steady.p99, reference.steady.p99);
   EXPECT_EQ(resumed.windows.size(), reference.windows.size());
+}
+
+// ------------------------------------------------- (f) wire format --
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)), {});
+}
+
+std::uint64_t digest(const std::string& bytes) {
+  return snap::fnv1a(bytes.data(), bytes.size());
+}
+
+// The round-trip tests above cannot see a change that alters save and load
+// together; these digests pin the exact bytes on disk, so old snapshots,
+// journals and the corpus stay readable. Each case avoids the obs extra:
+// its entry order follows process-wide metric interning, which depends on
+// which tests ran first.
+TEST(SnapshotWireFormat, ChaosSystemBytesArePinned) {
+  const ChaosCase ideal = make_chaos_case(11, "ideal");
+  const std::string a = valid_snapshot(ideal);
+  EXPECT_EQ(a.size(), 120773u);
+  EXPECT_EQ(digest(a), 2538388435485138236ull);
+  const ChaosCase contended = make_chaos_case(3, "contended");
+  const std::string b = valid_snapshot(contended, 2000);
+  EXPECT_EQ(b.size(), 101830u);
+  EXPECT_EQ(digest(b), 13882929727475075756ull);
+}
+
+TEST(SnapshotWireFormat, OpenEngineCheckpointBytesArePinned) {
+  exp::ConditionSpec cs;
+  cs.sites = 16;
+  cs.rate = 0.05;
+  cs.seed = 9;
+  const Topology topo = exp::make_topology(cs);
+  const auto policy = policy::PolicyRegistry::instance().create("rtds");
+  const policy::ParamMap params = policy->parse_params(
+      {"faults.drop=0.01", "faults.retransmit=true", "faults.seed=9"});
+  load::ArrivalSpec aspec;
+  aspec.kind = load::ArrivalKind::kBursty;
+  aspec.site_count = topo.site_count();
+  aspec.workload = exp::workload_config(cs);
+  load::OpenConfig ocfg;
+  ocfg.duration = 60.0;
+  ocfg.window.warmup = 20.0;
+  ocfg.window.width = 10.0;
+  ocfg.checkpoint_path = ::testing::TempDir() + "snapshot_test_wire_open.bin";
+  ocfg.checkpoint_every = 300;  // the file keeps the last full chunk's save
+  std::remove(ocfg.checkpoint_path.c_str());
+  const auto source = load::make_arrival_source(aspec);
+  load::run_open_rtds(topo, *source, ocfg, params);
+  const std::string bytes = file_bytes(ocfg.checkpoint_path);
+  EXPECT_EQ(bytes.size(), 35228u);
+  EXPECT_EQ(digest(bytes), 13286383619545250818ull);
+}
+
+TEST(SnapshotWireFormat, SweepJournalBytesArePinned) {
+  const std::string path = ::testing::TempDir() + "snapshot_test_wire.journal";
+  obs::MetricsBuffer buf;
+  obs::Registry& reg = obs::Registry::instance();
+  buf.add(reg.counter("snapshot_test.wire.counter"), 7);
+  buf.observe_max(reg.gauge_max("snapshot_test.wire.gauge"), 12);
+  buf.observe(reg.histogram("snapshot_test.wire.hist"), 5);
+  buf.observe(reg.histogram("snapshot_test.wire.hist"), 300);
+  {
+    std::remove(path.c_str());
+    const auto journal = snap::SweepJournal::create(path, 0x5eedull);
+    journal->append(0, {1.5, -2.25, 0.0}, nullptr);
+    journal->append(3, {42.0}, &buf);
+  }
+  const std::string bytes = file_bytes(path);
+  EXPECT_EQ(bytes.size(), 857u);
+  EXPECT_EQ(digest(bytes), 4631900484754484133ull);
 }
 
 }  // namespace
