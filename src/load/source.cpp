@@ -111,25 +111,19 @@ class SiteStream {
 
   SiteId site() const { return site_; }
 
-  /// Checkpoint capture: the RNG words and process-phase state (spec_,
+  /// Checkpoint state: the RNG words and process-phase state (spec_,
   /// site_ and the resolved curve_ are reconstructed, never stored).
-  void save_state(snap::Writer& w) const {
-    snap::Access::save(w, rng_);
-    w.f64(t_);
-    w.b(in_burst_);
-    w.f64(phase_left_);
-    w.u64(seg_);
-    w.f64(seg_left_);
-  }
-  void load_state(snap::Reader& r) {
-    snap::Access::load(r, rng_);
-    t_ = r.f64();
-    in_burst_ = r.b();
-    phase_left_ = r.f64();
-    seg_ = static_cast<std::size_t>(r.u64());
-    seg_left_ = r.f64();
-    if (!curve_.empty() && seg_ >= curve_.size())
-      r.fail("diurnal segment index outside the resolved curve");
+  template <class Ar>
+  void io(Ar& ar) {
+    snap::Access::io(ar, rng_);
+    ar.f64(t_);
+    ar.b(in_burst_);
+    ar.f64(phase_left_);
+    ar.u64(seg_);
+    ar.f64(seg_left_);
+    if constexpr (Ar::kLoading)
+      if (!curve_.empty() && seg_ >= curve_.size())
+        ar.fail("diurnal segment index outside the resolved curve");
   }
 
   /// Generates the next arrival (id 0 — the merger assigns ids in emission
@@ -241,39 +235,10 @@ class GeneratedSource final : public ArrivalSource {
     return std::move(p.arrival);
   }
 
-  /// The heap array is saved VERBATIM (not re-heapified on load): the saved
-  /// layout already satisfies the heap property, and std::make_heap could
-  /// legally produce a different-but-equivalent layout whose later pop/push
-  /// sequence diverges. Restoring the exact array keeps the resumed
-  /// emission order bit-identical to the uninterrupted stream.
   void save_state(snap::Writer& w) const override {
-    w.u64(emitted_);
-    w.u64(streams_.size());
-    for (const auto& s : streams_) s.save_state(w);
-    w.u64(heap_.size());
-    snap::SaveContext ctx;
-    for (const auto& p : heap_) {
-      w.u32(p.site);
-      w.u32(p.arrival.site);
-      snap::Access::save_job(w, ctx, p.arrival.job);
-    }
+    snap::as_mutable(*this).io(w);
   }
-  void load_state(snap::Reader& r) override {
-    emitted_ = r.u64();
-    if (r.u64() != streams_.size())
-      r.fail("generated source spans a different site count than this spec");
-    for (auto& s : streams_) s.load_state(r);
-    const std::uint64_t n = r.u64();
-    if (n != heap_.size())
-      r.fail("generated source heap size does not match this spec");
-    snap::LoadContext ctx;
-    for (auto& p : heap_) {
-      p.site = r.u32();
-      p.arrival.site = r.u32();
-      p.arrival.job = snap::Access::load_job(r, ctx);
-      if (p.arrival.job == nullptr) r.fail("pending arrival without a job");
-    }
-  }
+  void load_state(snap::Reader& r) override { io(r); }
 
  private:
   struct Pending {
@@ -288,6 +253,29 @@ class GeneratedSource final : public ArrivalSource {
       return a.site > b.site;
     }
   };
+
+  /// The heap array is stored VERBATIM (not re-heapified on load): the
+  /// saved layout already satisfies the heap property, and std::make_heap
+  /// could legally produce a different-but-equivalent layout whose later
+  /// pop/push sequence diverges. Restoring the exact array keeps the
+  /// resumed emission order bit-identical to the uninterrupted stream.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.u64(emitted_);
+    ar.expect(streams_.size(),
+              "generated source spans a different site count than this spec");
+    for (SiteStream& s : streams_) s.io(ar);
+    ar.expect(heap_.size(),
+              "generated source heap size does not match this spec");
+    snap::Interner in;
+    for (Pending& p : heap_) {
+      ar.u32(p.site);
+      ar.u32(p.arrival.site);
+      snap::Access::io(ar, in, p.arrival.job);
+      if constexpr (Ar::kLoading)
+        if (p.arrival.job == nullptr) ar.fail("pending arrival without a job");
+    }
+  }
 
   ArrivalSpec spec_;  // owned copy: streams reference its workload/curve
   std::vector<SiteStream> streams_;
@@ -316,19 +304,21 @@ class TraceSource final : public ArrivalSource {
     return trace_[pos_++];
   }
 
-  /// The trace itself is static configuration; only the cursor is live.
   void save_state(snap::Writer& w) const override {
-    w.u64(trace_.size());
-    w.u64(pos_);
+    snap::as_mutable(*this).io(w);
   }
-  void load_state(snap::Reader& r) override {
-    if (r.u64() != trace_.size())
-      r.fail("trace source length does not match this spec");
-    pos_ = static_cast<std::size_t>(r.u64());
-    if (pos_ > trace_.size()) r.fail("trace cursor beyond the trace");
-  }
+  void load_state(snap::Reader& r) override { io(r); }
 
  private:
+  /// The trace itself is static configuration; only the cursor is live.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.expect(trace_.size(), "trace source length does not match this spec");
+    ar.u64(pos_);
+    if constexpr (Ar::kLoading)
+      if (pos_ > trace_.size()) ar.fail("trace cursor beyond the trace");
+  }
+
   std::vector<JobArrival> trace_;
   std::size_t site_count_;
   std::size_t pos_ = 0;

@@ -3,15 +3,23 @@
 // Serialization lives OUTSIDE the classes it captures: each state-bearing
 // class declares `friend struct snap::Access;` and nothing else — no
 // serialize() members, no format knowledge leaking into core/, routing/ or
-// sched/. Access's static functions read and restore the private fields
-// directly, so the capture is exact (tombstoned routing slots, RNG stream
-// words, Welford accumulator bits) where a public-API reconstruction would
-// be lossy or slow.
+// sched/. Access reads and restores the private fields directly, so the
+// capture is exact (tombstoned routing slots, RNG stream words, Welford
+// accumulator bits) where a public-API reconstruction would be lossy or
+// slow.
+//
+// Each type has ONE `template <class Ar> io(Ar&, T&)` body, instantiated
+// for Writer and Reader (snap/io.hpp): the same statements write the
+// fields on save and read them back on load, so the two directions cannot
+// drift apart. Saving passes the live object through as_mutable(); Writer
+// only reads what it is handed. Work that only loading needs — rebuilding
+// Pcs::member_index_, Dag::finalize, re-posting pending events as closures
+// — sits behind `if constexpr (Ar::kLoading)`.
 //
 // Philosophy (PhoenixOS-style): capture *live* state, recompute *derived*
 // state. Anything a fresh construction rebuilds deterministically from the
 // config — sphere membership, CSR adjacency, interned metric ids — is not
-// in the format; load() starts from a freshly constructed object and
+// in the format; loading starts from a freshly constructed object and
 // overwrites only what the run mutated.
 #pragma once
 
@@ -22,9 +30,10 @@
 #include "snap/io.hpp"
 
 namespace rtds {
+template <typename Key>
+class FlatSet;
 class Rng;
 class RunningStat;
-class Samples;
 class RoutingTable;
 class Pcs;
 class Topology;
@@ -39,6 +48,7 @@ struct MessageStats;
 struct Job;
 struct TrialMapping;
 struct JobDecision;
+struct EventRecord;
 }  // namespace rtds
 namespace rtds::fault {
 class FaultState;
@@ -57,90 +67,69 @@ namespace rtds::snap {
 
 /// Shared-pointer interner: bulky immutable payloads (Jobs, TrialMappings)
 /// are shared across node queues, active initiations and pending-event
-/// records. The first encounter serializes the body and assigns the next
+/// records. The first encounter serializes the body and takes the next
 /// dense index; later encounters serialize the index only — so the restored
 /// object graph shares exactly like the live one, and a job referenced from
-/// five places costs one body.
-struct SaveContext {
-  std::vector<const Job*> jobs;
-  std::vector<const TrialMapping*> mappings;
-};
-struct LoadContext {
+/// five places costs one body. One interner spans one snapshot (or one
+/// arrival source's state), on both sides.
+struct Interner {
   std::vector<std::shared_ptr<const Job>> jobs;
   std::vector<std::shared_ptr<const TrialMapping>> mappings;
 };
 
+/// Saving hands the live object to the same io() body that loading fills;
+/// Writer only reads the fields it is given.
+template <class T>
+T& as_mutable(const T& x) {
+  return const_cast<T&>(x);
+}
+
 struct Access {
   // --- util ---
-  static void save(Writer& w, const Rng& rng);
-  static void load(Reader& r, Rng& rng);
-  static void save(Writer& w, const RunningStat& s);
-  static void load(Reader& r, RunningStat& s);
-  static void save(Writer& w, const Samples& s);
-  static void load(Reader& r, Samples& s);
+  template <class Ar> static void io(Ar& ar, Rng& rng);
+  template <class Ar> static void io(Ar& ar, RunningStat& s);
+  template <class Ar> static void io(Ar& ar, FlatSet<std::uint64_t>& s);
 
-  // --- routing ---
-  static void save(Writer& w, const RoutingTable& t);
-  static void load(Reader& r, RoutingTable& t);
-  static void save(Writer& w, const Pcs& p);
-  static void load(Reader& r, Pcs& p);
+  // --- routing (struct-of-arrays on the wire) ---
+  template <class Ar> static void io(Ar& ar, RoutingTable& t);
+  template <class Ar> static void io(Ar& ar, Pcs& p);
 
   // --- fault ---
-  static void save(Writer& w, const fault::FaultState& f);
-  static void load(Reader& r, fault::FaultState& f);
-  static void save(Writer& w, const fault::InvariantChecker& c);
-  static void load(Reader& r, fault::InvariantChecker& c);
-  static void save(Writer& w, const fault::DedupWindow& d);
-  static void load(Reader& r, fault::DedupWindow& d);
+  template <class Ar> static void io(Ar& ar, fault::FaultState& f);
+  template <class Ar> static void io(Ar& ar, fault::InvariantChecker& c);
+  template <class Ar> static void io(Ar& ar, fault::DedupWindow& d);
 
   // --- sched ---
-  static void save(Writer& w, const SchedulingPlan& p);
-  static void load(Reader& r, SchedulingPlan& p);
-  static void save(Writer& w, const LocalScheduler& s);  ///< plan only
-  static void load(Reader& r, LocalScheduler& s);
+  template <class Ar> static void io(Ar& ar, SchedulingPlan& p);
+  template <class Ar> static void io(Ar& ar, LocalScheduler& s);  ///< plan only
 
   // --- load/ (open-system measurement) ---
-  static void save(Writer& w, const load::QuantileSketch& q);
-  static void load(Reader& r, load::QuantileSketch& q);
-  static void save(Writer& w, const load::SteadyStateCollector& c);
-  static void load(Reader& r, load::SteadyStateCollector& c);
+  template <class Ar> static void io(Ar& ar, load::QuantileSketch& q);
+  template <class Ar> static void io(Ar& ar, load::SteadyStateCollector& c);
 
   // --- obs (serialized by metric NAME: interned ids are process order) ---
-  static void save(Writer& w, const obs::MetricsBuffer& m);
-  static void load(Reader& r, obs::MetricsBuffer& m);
+  template <class Ar> static void io(Ar& ar, obs::MetricsBuffer& m);
 
   // --- core value types ---
-  static void save(Writer& w, const MessageStats& s);
-  static void load(Reader& r, MessageStats& s);
-  static void save(Writer& w, const RunMetrics& m);
-  static void load(Reader& r, RunMetrics& m);
-  static void save(Writer& w, const JobDecision& d);
-  static void load(Reader& r, JobDecision& d);
+  template <class Ar> static void io(Ar& ar, MessageStats& s);
+  template <class Ar> static void io(Ar& ar, RunMetrics& m);
+  template <class Ar> static void io(Ar& ar, JobDecision& d);
 
-  // --- shared immutable payloads (interned) ---
-  static void save_job(Writer& w, SaveContext& ctx,
-                       const std::shared_ptr<const Job>& job);
-  static std::shared_ptr<const Job> load_job(Reader& r, LoadContext& ctx);
-  static void save_mapping(Writer& w, SaveContext& ctx,
-                           const std::shared_ptr<const TrialMapping>& m);
-  static std::shared_ptr<const TrialMapping> load_mapping(Reader& r,
-                                                          LoadContext& ctx);
+  // --- shared immutable payloads (interned; may be null) ---
+  template <class Ar>
+  static void io(Ar& ar, Interner& in, std::shared_ptr<const Job>& job);
+  template <class Ar>
+  static void io(Ar& ar, Interner& in,
+                 std::shared_ptr<const TrialMapping>& mapping);
 
   // --- node / system (snapshot.cpp) ---
-  static void save_node(Writer& w, SaveContext& ctx, const RtdsNode& n);
-  static void load_node(Reader& r, LoadContext& ctx, RtdsNode& n);
-  /// Writes / restores the sections clock, tables, fault, checker, nodes,
-  /// transport and system (everything but the pending events).
-  static void save_system(Writer& w, SaveContext& ctx,
-                          const RtdsSystem& sys);
-  static void load_system(Reader& r, LoadContext& ctx, RtdsSystem& sys);
-  /// Writes / re-posts the "events" section: every pending event's
-  /// (time, record) pair in execution order. load_events re-schedules each
-  /// through the original private entry point and re-annotates it, so a
+  template <class Ar> static void io(Ar& ar, Interner& in, RtdsNode& n);
+  /// The sections clock, tables, fault, checker, nodes, transport, system
+  /// and events. The "events" section holds every pending event's (time,
+  /// record) pair in execution order; loading re-posts each through the
+  /// original private entry point (repost) and re-annotates it, so a
   /// resumed run can itself be snapshotted again.
-  static void save_events(Writer& w, SaveContext& ctx,
-                          const RtdsSystem& sys);
-  static void load_events(Reader& r, LoadContext& ctx, RtdsSystem& sys);
+  template <class Ar> static void io(Ar& ar, Interner& in, RtdsSystem& sys);
 
   // --- identity hashes ---
   /// Content hash of the static graph (sites, powers, links).
@@ -151,6 +140,11 @@ struct Access {
                                    const SystemConfig& cfg);
   /// config_hash over a live system's own topology and config.
   static std::uint64_t config_hash_of(const RtdsSystem& sys);
+
+ private:
+  /// Schedules a decoded pending event through the entry point its
+  /// original closure called.
+  static void repost(Reader& r, RtdsSystem& sys, double at, EventRecord rec);
 };
 
 }  // namespace rtds::snap

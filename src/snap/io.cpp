@@ -1,6 +1,5 @@
 #include "snap/io.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -10,11 +9,6 @@ namespace rtds::snap {
 
 namespace {
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-/// Fixed-width values travel little-endian; on a little-endian host the
-/// in-memory representation IS the wire representation, so bulk writes and
-/// reads collapse to memcpy.
-constexpr bool kHostIsLittle = std::endian::native == std::endian::little;
 
 void append_le(std::string& out, std::uint64_t v, std::size_t bytes) {
   for (std::size_t i = 0; i < bytes; ++i)
@@ -46,7 +40,7 @@ std::uint64_t section_checksum(const void* data, std::size_t size) {
   std::size_t i = 0;
   for (; i + 8 <= size; i += 8) {
     std::uint64_t word;
-    if constexpr (kHostIsLittle) {
+    if constexpr (detail::kHostIsLittle) {
       std::memcpy(&word, p + i, 8);
     } else {
       word = read_le(reinterpret_cast<const char*>(p) + i, 8);
@@ -125,37 +119,6 @@ void Writer::str(std::string_view s) {
   out_.append(s);
 }
 
-void Writer::bytes(const void* data, std::size_t size) {
-  out_.append(static_cast<const char*>(data), size);
-}
-
-void Writer::u32_array(const std::uint32_t* v, std::size_t n) {
-  if (n == 0) return;  // v may be null for an empty vector
-  if constexpr (kHostIsLittle) {
-    out_.append(reinterpret_cast<const char*>(v), n * 4);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) u32(v[i]);
-  }
-}
-
-void Writer::u64_array(const std::uint64_t* v, std::size_t n) {
-  if (n == 0) return;  // v may be null for an empty vector
-  if constexpr (kHostIsLittle) {
-    out_.append(reinterpret_cast<const char*>(v), n * 8);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) u64(v[i]);
-  }
-}
-
-void Writer::f64_array(const double* v, std::size_t n) {
-  if (n == 0) return;  // v may be null for an empty vector
-  if constexpr (kHostIsLittle) {
-    out_.append(reinterpret_cast<const char*>(v), n * 8);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) f64(v[i]);
-  }
-}
-
 const std::string& Writer::finish() {
   RTDS_REQUIRE_MSG(section_name_.empty(), "unclosed section '"
                                               << section_name_ << "'");
@@ -220,7 +183,7 @@ void Reader::require_config_hash(std::uint64_t expected) const {
                               "topology/config");
 }
 
-SectionStatus Reader::open_section(std::string& name, bool verify_checksum) {
+SectionStatus Reader::try_next_section(std::string& name) {
   section_.clear();
   if (pos_ >= data_.size()) return SectionStatus::kEnd;  // journal clean EOF
   const auto name_len =
@@ -232,15 +195,12 @@ SectionStatus Reader::open_section(std::string& name, bool verify_checksum) {
       static_cast<std::size_t>(read_le(data_.data() + pos_ + 1 + name_len, 8));
   const std::uint64_t sum = read_le(data_.data() + pos_ + 1 + name_len + 8, 8);
   const std::size_t body_off = pos_ + 1 + name_len + 16;
-  if (body_off + body_len > data_.size()) return SectionStatus::kTruncated;
-  if (verify_checksum) {
-    const std::uint64_t actual = section_checksum(data_.data() + body_off,
-                                                  body_len);
-    if (actual != sum) {
-      section_ = name;  // so fail() names the damaged section
-      pos_ = body_off;
-      fail("checksum mismatch: section is corrupt");
-    }
+  // Compared against what is left, so a hostile length cannot wrap.
+  if (body_len > data_.size() - body_off) return SectionStatus::kTruncated;
+  if (section_checksum(data_.data() + body_off, body_len) != sum) {
+    section_ = name;  // so fail() names the damaged section
+    pos_ = body_off;
+    fail("checksum mismatch: section is corrupt");
   }
   section_ = name;
   pos_ = body_off;
@@ -248,9 +208,9 @@ SectionStatus Reader::open_section(std::string& name, bool verify_checksum) {
   return SectionStatus::kOk;
 }
 
-void Reader::expect_section(std::string_view name) {
+void Reader::begin_section(std::string_view name) {
   std::string found;
-  const SectionStatus st = open_section(found, /*verify_checksum=*/true);
+  const SectionStatus st = try_next_section(found);
   if (st == SectionStatus::kEnd)
     RTDS_REQUIRE_MSG(false, what_ << " ends at offset " << pos_
                                   << " but section '" << name
@@ -264,10 +224,6 @@ void Reader::expect_section(std::string_view name) {
                                   << name << "' was expected");
 }
 
-SectionStatus Reader::try_next_section(std::string& name) {
-  return open_section(name, /*verify_checksum=*/true);
-}
-
 void Reader::end_section() {
   if (pos_ != section_end_)
     fail("section has " + std::to_string(section_end_ - pos_) +
@@ -275,31 +231,35 @@ void Reader::end_section() {
   section_.clear();
 }
 
+std::size_t Reader::count(std::size_t, std::size_t min_bytes) {
+  const std::uint64_t n = u64();
+  if (n > section_remaining() / min_bytes)
+    fail("element count " + std::to_string(n) +
+         " exceeds the remaining section body");
+  return static_cast<std::size_t>(n);
+}
+
+void Reader::require_fits(std::size_t n, std::size_t width) {
+  if (width != 0 && n > section_remaining() / width)
+    fail(std::to_string(n) + " elements of " + std::to_string(width) +
+         " bytes extend past the section");
+}
+
 void Reader::need(std::size_t n) {
-  if (pos_ + n > section_end_) fail("read past the end of the section body");
+  // Compares against what is left, so a hostile string length cannot wrap.
+  if (n > section_end_ - pos_) fail("read past the end of the section body");
 }
 
-std::uint8_t Reader::u8() {
-  need(1);
-  const auto v = static_cast<std::uint8_t>(read_le(data_.data() + pos_, 1));
-  pos_ += 1;
+std::uint64_t Reader::fixed(std::size_t bytes) {
+  need(bytes);
+  const std::uint64_t v = read_le(data_.data() + pos_, bytes);
+  pos_ += bytes;
   return v;
 }
 
-std::uint32_t Reader::u32() {
-  need(4);
-  const auto v = static_cast<std::uint32_t>(read_le(data_.data() + pos_, 4));
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  const std::uint64_t v = read_le(data_.data() + pos_, 8);
-  pos_ += 8;
-  return v;
-}
-
+std::uint8_t Reader::u8() { return static_cast<std::uint8_t>(fixed(1)); }
+std::uint32_t Reader::u32() { return static_cast<std::uint32_t>(fixed(4)); }
+std::uint64_t Reader::u64() { return fixed(8); }
 std::int64_t Reader::i64() { return static_cast<std::int64_t>(u64()); }
 
 double Reader::f64() {
@@ -307,43 +267,6 @@ double Reader::f64() {
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
-}
-
-void Reader::u32_array(std::uint32_t* out, std::size_t n) {
-  if (n == 0) return;  // out may be null for an empty vector
-  // Divide instead of multiplying so a hostile count cannot wrap size_t.
-  if (n > section_remaining() / 4)
-    fail("array of " + std::to_string(n) + " u32 extends past the section");
-  if constexpr (kHostIsLittle) {
-    std::memcpy(out, data_.data() + pos_, n * 4);
-    pos_ += n * 4;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = u32();
-  }
-}
-
-void Reader::u64_array(std::uint64_t* out, std::size_t n) {
-  if (n == 0) return;  // out may be null for an empty vector
-  if (n > section_remaining() / 8)
-    fail("array of " + std::to_string(n) + " u64 extends past the section");
-  if constexpr (kHostIsLittle) {
-    std::memcpy(out, data_.data() + pos_, n * 8);
-    pos_ += n * 8;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = u64();
-  }
-}
-
-void Reader::f64_array(double* out, std::size_t n) {
-  if (n == 0) return;  // out may be null for an empty vector
-  if (n > section_remaining() / 8)
-    fail("array of " + std::to_string(n) + " f64 extends past the section");
-  if constexpr (kHostIsLittle) {
-    std::memcpy(out, data_.data() + pos_, n * 8);
-    pos_ += n * 8;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) out[i] = f64();
-  }
 }
 
 std::string Reader::str() {

@@ -32,10 +32,9 @@ std::string encode_section(std::uint64_t sweep_hash, std::uint64_t trial,
   Writer w(kFormatVersion, sweep_hash);
   w.begin_section("trial");
   w.u64(trial);
-  w.u64(values.size());
-  for (const double v : values) w.f64(v);
+  w.vec(values);
   w.b(metrics != nullptr);
-  if (metrics != nullptr) Access::save(w, *metrics);
+  if (metrics != nullptr) Access::io(w, as_mutable(*metrics));
   w.end_section();
   const std::string& all = w.finish();
   return all.substr(kHeaderSize, all.size() - kHeaderSize - 1);
@@ -73,11 +72,9 @@ std::unique_ptr<SweepJournal> SweepJournal::resume(
     if (name != "trial") r.fail("unexpected journal section \"" + name + "\"");
     JournalEntry e;
     e.trial = r.u64();
-    const std::uint64_t count = r.u64();
-    e.values.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) e.values.push_back(r.f64());
+    r.vec(e.values);
     e.has_metrics = r.b();
-    if (e.has_metrics) Access::load(r, e.metrics);
+    if (e.has_metrics) Access::io(r, e.metrics);
     r.end_section();
     entries.push_back(std::move(e));
   }

@@ -1,18 +1,20 @@
 // Whole-system snapshot save/restore (DESIGN.md §14).
 //
-// save walks the live object graph through snap::Access and writes one
-// section per subsystem; load starts from a freshly constructed
-// RtdsSystem of the same (topology, config) — enforced by the header's
-// config hash — and overwrites exactly the state a run mutates. Pending
-// events travel as EventRecords (sim/event_record.hpp) and are re-posted
-// through the original private entry points in saved execution order, so
-// the re-posted queue pops identically to the saved one: re-posting in
-// ascending (time, seq) order hands out ascending fresh sequence numbers,
-// preserving every tie-break, and everything scheduled after resume draws
-// sequences above them all.
+// One io body walks the live object graph through snap::Access and writes
+// (Writer) or reads back (Reader) one section per subsystem. Loading starts
+// from a freshly constructed RtdsSystem of the same (topology, config) —
+// enforced by the header's config hash — and overwrites exactly the state
+// a run mutates. Pending events travel as EventRecords
+// (sim/event_record.hpp) and are re-posted through the original private
+// entry points in saved execution order, so the re-posted queue pops
+// identically to the saved one: re-posting in ascending (time, seq) order
+// hands out ascending fresh sequence numbers, preserving every tie-break,
+// and everything scheduled after resume draws sequences above them all.
 #include "snap/snapshot.hpp"
 
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -30,164 +32,142 @@ namespace rtds::snap {
 namespace {
 
 // Stable on-disk payload tags — deliberately NOT the variant index, which
-// shifts whenever MessageBody grows an alternative.
-constexpr std::uint8_t kBodyMono = 0;
-constexpr std::uint8_t kBodyEnrollRequest = 1;
-constexpr std::uint8_t kBodyEnrollReply = 2;
-constexpr std::uint8_t kBodyUnlock = 3;
-constexpr std::uint8_t kBodyValidateRequest = 4;
-constexpr std::uint8_t kBodyValidateReply = 5;
-constexpr std::uint8_t kBodyDispatch = 6;
-constexpr std::uint8_t kBodyDispatchAck = 7;
-constexpr std::uint8_t kBodyString = 8;
+// shifts whenever MessageBody grows an alternative. Only the RTDS protocol
+// messages (plus monostate and the tests' debug string) are
+// checkpointable: the APSP exchange runs on throwaway simulators and the
+// baseline policies never annotate, so meeting one of their payloads in a
+// checkpoint is a contract violation, not a format gap.
+constexpr std::uint8_t kNoTag = 0xff;
+template <class M>
+inline constexpr std::uint8_t kBodyTag = kNoTag;
+template <> inline constexpr std::uint8_t kBodyTag<std::monostate> = 0;
+template <> inline constexpr std::uint8_t kBodyTag<EnrollRequest> = 1;
+template <> inline constexpr std::uint8_t kBodyTag<EnrollReply> = 2;
+template <> inline constexpr std::uint8_t kBodyTag<UnlockMsg> = 3;
+template <> inline constexpr std::uint8_t kBodyTag<ValidateRequest> = 4;
+template <> inline constexpr std::uint8_t kBodyTag<ValidateReply> = 5;
+template <> inline constexpr std::uint8_t kBodyTag<DispatchMsg> = 6;
+template <> inline constexpr std::uint8_t kBodyTag<DispatchAck> = 7;
+template <> inline constexpr std::uint8_t kBodyTag<std::string> = 8;
 
-void save_u32_vec(Writer& w, const std::vector<std::uint32_t>& v) {
-  w.u64(v.size());
-  for (const auto x : v) w.u32(x);
+/// Makes `body` the default-constructed alternative whose tag is `tag`.
+template <std::size_t I = 0>
+bool emplace_tagged(MessageBody& body, std::uint8_t tag) {
+  if constexpr (I == std::variant_size_v<MessageBody>) {
+    return false;
+  } else {
+    if (tag != kNoTag &&
+        kBodyTag<std::variant_alternative_t<I, MessageBody>> == tag) {
+      body.emplace<I>();
+      return true;
+    }
+    return emplace_tagged<I + 1>(body, tag);
+  }
 }
 
-std::vector<std::uint32_t> load_u32_vec(Reader& r) {
-  const std::uint64_t n = r.u64();
-  std::vector<std::uint32_t> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(r.u32());
-  return v;
+// The fields of each checkpointable payload.
+template <class Ar>
+void fields(Ar& ar, Interner&, EnrollRequest& m) {
+  ar.u64(m.job);
+  ar.f64(m.deadline);
+  ar.u64(m.seq);
 }
+template <class Ar>
+void fields(Ar& ar, Interner&, EnrollReply& m) {
+  ar.u64(m.job);
+  ar.b(m.accepted);
+  ar.f64(m.surplus);
+  ar.u64(m.seq);
+}
+template <class Ar>
+void fields(Ar& ar, Interner&, UnlockMsg& m) {
+  ar.u64(m.job);
+  ar.u64(m.seq);
+}
+template <class Ar>
+void fields(Ar& ar, Interner& in, ValidateRequest& m) {
+  ar.u64(m.job);
+  Access::io(ar, in, m.job_data);
+  Access::io(ar, in, m.mapping);
+  ar.u64(m.seq);
+}
+template <class Ar>
+void fields(Ar& ar, Interner&, ValidateReply& m) {
+  ar.u64(m.job);
+  ar.vec(m.endorsable);
+  ar.u64(m.seq);
+}
+template <class Ar>
+void fields(Ar& ar, Interner& in, DispatchMsg& m) {
+  ar.u64(m.job);
+  ar.u32(m.logical);
+  Access::io(ar, in, m.job_data);
+  Access::io(ar, in, m.mapping);
+  ar.u64(m.seq);
+}
+template <class Ar>
+void fields(Ar& ar, Interner&, DispatchAck& m) {
+  ar.u64(m.job);
+  ar.u64(m.seq);
+}
+template <class Ar>
+void fields(Ar& ar, Interner&, std::string& s) {
+  ar.str(s);
+}
+/// No fields: monostate, and the untagged payloads io_body rejects first.
+template <class Ar, class M>
+void fields(Ar&, Interner&, M&) {}
 
-/// Serializes an in-flight protocol payload. Only the RTDS protocol
-/// messages (plus monostate and the tests' debug string) are
-/// checkpointable: the APSP exchange runs on throwaway simulators and the
-/// baseline policies never annotate, so meeting one of their payloads in a
-/// checkpoint is a contract violation, not a format gap.
-void save_body(Writer& w, SaveContext& ctx, const MessageBody& body) {
-  if (std::holds_alternative<std::monostate>(body)) {
-    w.u8(kBodyMono);
-    return;
-  }
-  if (const auto* m = std::get_if<EnrollRequest>(&body)) {
-    w.u8(kBodyEnrollRequest);
-    w.u64(m->job);
-    w.f64(m->deadline);
-    w.u64(m->seq);
-    return;
-  }
-  if (const auto* m = std::get_if<EnrollReply>(&body)) {
-    w.u8(kBodyEnrollReply);
-    w.u64(m->job);
-    w.b(m->accepted);
-    w.f64(m->surplus);
-    w.u64(m->seq);
-    return;
-  }
-  if (const auto* m = std::get_if<UnlockMsg>(&body)) {
-    w.u8(kBodyUnlock);
-    w.u64(m->job);
-    w.u64(m->seq);
-    return;
-  }
-  if (const auto* m = std::get_if<ValidateRequest>(&body)) {
-    w.u8(kBodyValidateRequest);
-    w.u64(m->job);
-    Access::save_job(w, ctx, m->job_data);
-    Access::save_mapping(w, ctx, m->mapping);
-    w.u64(m->seq);
-    return;
-  }
-  if (const auto* m = std::get_if<ValidateReply>(&body)) {
-    w.u8(kBodyValidateReply);
-    w.u64(m->job);
-    save_u32_vec(w, m->endorsable);
-    w.u64(m->seq);
-    return;
-  }
-  if (const auto* m = std::get_if<DispatchMsg>(&body)) {
-    w.u8(kBodyDispatch);
-    w.u64(m->job);
-    w.u32(m->logical);
-    Access::save_job(w, ctx, m->job_data);
-    Access::save_mapping(w, ctx, m->mapping);
-    w.u64(m->seq);
-    return;
-  }
-  if (const auto* m = std::get_if<DispatchAck>(&body)) {
-    w.u8(kBodyDispatchAck);
-    w.u64(m->job);
-    w.u64(m->seq);
-    return;
-  }
-  if (const auto* s = std::get_if<std::string>(&body)) {
-    w.u8(kBodyString);
-    w.str(*s);
-    return;
-  }
+/// An in-flight protocol payload: its stable tag, then its fields.
+template <class Ar>
+void io_body(Ar& ar, Interner& in, MessageBody& body) {
+  std::uint8_t tag = std::visit(
+      [](const auto& m) { return kBodyTag<std::decay_t<decltype(m)>>; }, body);
   RTDS_REQUIRE_MSG(
-      false, "checkpoint met an unsupported in-flight payload (variant index "
-                 << body.index()
-                 << "): only RTDS protocol messages are serializable — the "
-                    "APSP exchange and the baseline policies are not "
-                    "checkpointable");
+      Ar::kLoading || tag != kNoTag,
+      "checkpoint met an unsupported in-flight payload (variant index "
+          << body.index()
+          << "): only RTDS protocol messages are serializable — the "
+             "APSP exchange and the baseline policies are not "
+             "checkpointable");
+  ar.u8(tag);
+  if constexpr (Ar::kLoading)
+    if (!emplace_tagged(body, tag))
+      ar.fail("unknown message payload tag " + std::to_string(tag));
+  std::visit([&](auto& m) { fields(ar, in, m); }, body);
 }
 
-MessageBody load_body(Reader& r, LoadContext& ctx) {
-  const std::uint8_t tag = r.u8();
-  switch (tag) {
-    case kBodyMono:
-      return MessageBody{};
-    case kBodyEnrollRequest: {
-      EnrollRequest m;
-      m.job = r.u64();
-      m.deadline = r.f64();
-      m.seq = r.u64();
-      return m;
-    }
-    case kBodyEnrollReply: {
-      EnrollReply m;
-      m.job = r.u64();
-      m.accepted = r.b();
-      m.surplus = r.f64();
-      m.seq = r.u64();
-      return m;
-    }
-    case kBodyUnlock: {
-      UnlockMsg m;
-      m.job = r.u64();
-      m.seq = r.u64();
-      return m;
-    }
-    case kBodyValidateRequest: {
-      ValidateRequest m;
-      m.job = r.u64();
-      m.job_data = Access::load_job(r, ctx);
-      m.mapping = Access::load_mapping(r, ctx);
-      m.seq = r.u64();
-      return m;
-    }
-    case kBodyValidateReply: {
-      ValidateReply m;
-      m.job = r.u64();
-      m.endorsable = load_u32_vec(r);
-      m.seq = r.u64();
-      return m;
-    }
-    case kBodyDispatch: {
-      DispatchMsg m;
-      m.job = r.u64();
-      m.logical = r.u32();
-      m.job_data = Access::load_job(r, ctx);
-      m.mapping = Access::load_mapping(r, ctx);
-      m.seq = r.u64();
-      return m;
-    }
-    case kBodyDispatchAck: {
-      DispatchAck m;
-      m.job = r.u64();
-      m.seq = r.u64();
-      return m;
-    }
-    case kBodyString:
-      return MessageBody{r.str()};
-    default:
-      r.fail("unknown message payload tag " + std::to_string(tag));
+/// One pending event's replay record.
+template <class Ar>
+void io_record(Ar& ar, Interner& in, EventRecord& rec) {
+  using Kind = EventRecord::Kind;
+  ar.enum_u8(rec.kind, Kind::kNone, Kind::kContendedHop, "event kind");
+  ar.u8(rec.small);
+  ar.u32(rec.site);
+  ar.u32(rec.peer);
+  ar.u32(rec.dest);
+  ar.u64(rec.job);
+  ar.u32(rec.task);
+  ar.u64(rec.a);
+  ar.f64(rec.x);
+  ar.f64(rec.y);
+  bool has_job = rec.job_ref != nullptr;
+  ar.b(has_job);
+  if (has_job) {
+    auto job = std::static_pointer_cast<const Job>(rec.job_ref);
+    Access::io(ar, in, job);
+    if constexpr (Ar::kLoading) rec.job_ref = std::move(job);
+  }
+  bool has_payload = rec.payload != nullptr;
+  ar.b(has_payload);
+  if (!has_payload) return;
+  if constexpr (Ar::kLoading) {
+    auto body = std::make_shared<MessageBody>();
+    io_body(ar, in, *body);
+    rec.payload = std::move(body);
+  } else {
+    io_body(ar, in,
+            as_mutable(*static_cast<const MessageBody*>(rec.payload.get())));
   }
 }
 
@@ -195,506 +175,232 @@ MessageBody load_body(Reader& r, LoadContext& ctx) {
 
 // ------------------------------------------------------------- node ----
 
-void Access::save_node(Writer& w, SaveContext& ctx, const RtdsNode& n) {
-  w.b(n.alive_);
-  w.u64(n.epoch_);
-  w.u64(n.lock_seq_);
-  w.f64(n.lease_);
-  w.b(n.start_pending_);
+template <class Ar>
+void Access::io(Ar& ar, Interner& in, RtdsNode& n) {
+  using Initiation = RtdsNode::Initiation;
+  ar.b(n.alive_);
+  ar.u64(n.epoch_);
+  ar.u64(n.lock_seq_);
+  ar.f64(n.lease_);
+  ar.b(n.start_pending_);
 
-  w.b(n.lock_.has_value());
-  if (n.lock_.has_value()) {
-    w.u32(n.lock_->initiator);
-    w.u64(n.lock_->job);
+  maybe(ar, n.lock_, [&](RtdsNode::Lock& lock) {
+    ar.u32(lock.initiator);
+    ar.u64(lock.job);
+  });
+  maybe(ar, n.endorsement_, [&](RtdsNode::OutstandingEndorsement& e) {
+    ar.u64(e.job);
+    io(ar, in, e.job_data);
+    io(ar, in, e.mapping);
+    ar.vec(e.endorsed);
+  });
+
+  length(ar, n.queue_, 1);
+  for (auto& job : n.queue_) {
+    io(ar, in, job);
+    if constexpr (Ar::kLoading)
+      if (job == nullptr) ar.fail("queued job without a body");
   }
 
-  w.b(n.endorsement_.has_value());
-  if (n.endorsement_.has_value()) {
-    w.u64(n.endorsement_->job);
-    save_job(w, ctx, n.endorsement_->job_data);
-    save_mapping(w, ctx, n.endorsement_->mapping);
-    save_u32_vec(w, n.endorsement_->endorsed);
+  entries(ar, n.active_, 8 + 1 + 1 + 8 * 5 + 1 + 8 + 8 + 8 + 1,
+          [&](Ar& a, auto& job, Initiation& init) {
+            a.u64(job);
+            io(a, in, init.job);
+            a.enum_u8(init.phase, Initiation::Phase::kEnrolling,
+                      Initiation::Phase::kDone, "initiation phase");
+            a.u64(init.expected_replies);
+            a.u64(init.received_replies);
+            a.vec(init.repliers);
+            a.vec(init.acs);
+            length(a, init.surplus_of, 4 + 8);
+            for (auto& [site, surplus] : init.surplus_of) {
+              a.u32(site);
+              a.f64(surplus);
+            }
+            io(a, in, init.mapping);
+            a.f64(init.acs_diameter);
+            length(a, init.endorsements, 4 + 8);
+            for (auto& [site, procs] : init.endorsements) {
+              a.u32(site);
+              a.vec(procs);
+            }
+            a.u64(init.validate_expected);
+            a.b(init.timed_out);
+          });
+
+  length(ar, n.buffered_enrolls_, 4 + 8 + 8 + 8);
+  for (auto& [from, msg] : n.buffered_enrolls_) {
+    ar.u32(from);
+    fields(ar, in, msg);
   }
 
-  w.u64(n.queue_.size());
-  for (const auto& j : n.queue_) save_job(w, ctx, j);
+  entries(ar, n.pending_completions_, 8 + 4,
+          [](Ar& a, auto& job, std::uint32_t& count) {
+            a.u64(job);
+            a.u32(count);
+          });
+  entries(ar, n.send_seq_, 4 + 8, [](Ar& a, auto& peer, std::uint64_t& seq) {
+    a.u32(peer);
+    a.u64(seq);
+  });
+  entries(ar, n.recv_window_, 4 + 16,
+          [](Ar& a, auto& peer, fault::DedupWindow& window) {
+            a.u32(peer);
+            io(a, window);
+          });
 
-  w.u64(n.active_.size());
-  for (const auto& [job, init] : n.active_) {
-    w.u64(job);
-    save_job(w, ctx, init.job);
-    w.u8(static_cast<std::uint8_t>(init.phase));
-    w.u64(init.expected_replies);
-    w.u64(init.received_replies);
-    save_u32_vec(w, init.repliers);
-    save_u32_vec(w, init.acs);
-    w.u64(init.surplus_of.size());
-    for (const auto& [site, surplus] : init.surplus_of) {
-      w.u32(site);
-      w.f64(surplus);
-    }
-    save_mapping(w, ctx, init.mapping);
-    w.f64(init.acs_diameter);
-    w.u64(init.endorsements.size());
-    for (const auto& [site, procs] : init.endorsements) {
-      w.u32(site);
-      save_u32_vec(w, procs);
-    }
-    w.u64(init.validate_expected);
-    w.b(init.timed_out);
-  }
+  entries(ar, n.retries_, 8 + 4 + 1 + 8 * 4,
+          [&](Ar& a, auto& key, RtdsNode::Retry& retry) {
+            a.u64(key.first);
+            a.u32(key.second);
+            io_body(a, in, retry.payload);
+            a.i64(retry.category);
+            a.f64(retry.size_units);
+            a.i64(retry.attempts);
+            a.u64(retry.gen);
+          });
+  ar.u64(n.retry_gen_);
+  io(ar, n.retry_rng_);
+  for (JobId& j : n.recent_dispatch_) ar.u64(j);
+  ar.u64(n.recent_dispatch_count_);
 
-  w.u64(n.buffered_enrolls_.size());
-  for (const auto& [from, msg] : n.buffered_enrolls_) {
-    w.u32(from);
-    w.u64(msg.job);
-    w.f64(msg.deadline);
-    w.u64(msg.seq);
-  }
-
-  w.u64(n.pending_completions_.size());
-  for (const auto& [job, count] : n.pending_completions_) {
-    w.u64(job);
-    w.u32(count);
-  }
-
-  {
-    const auto items = n.send_seq_.sorted_items();
-    w.u64(items.size());
-    for (const auto& [peer, seq] : items) {
-      w.u32(peer);
-      w.u64(seq);
-    }
-  }
-  {
-    const auto items = n.recv_window_.sorted_items();
-    w.u64(items.size());
-    for (const auto& [peer, window] : items) {
-      w.u32(peer);
-      save(w, window);
-    }
-  }
-
-  w.u64(n.retries_.size());
-  for (const auto& [key, retry] : n.retries_) {
-    w.u64(key.first);
-    w.u32(key.second);
-    save_body(w, ctx, retry.payload);
-    w.i64(retry.category);
-    w.f64(retry.size_units);
-    w.i64(retry.attempts);
-    w.u64(retry.gen);
-  }
-  w.u64(n.retry_gen_);
-  save(w, n.retry_rng_);
-  for (const JobId j : n.recent_dispatch_) w.u64(j);
-  w.u64(n.recent_dispatch_count_);
-
-  save(w, n.sched_);
-}
-
-void Access::load_node(Reader& r, LoadContext& ctx, RtdsNode& n) {
-  n.alive_ = r.b();
-  n.epoch_ = r.u64();
-  n.lock_seq_ = r.u64();
-  n.lease_ = r.f64();
-  n.start_pending_ = r.b();
-
-  n.lock_.reset();
-  if (r.b()) {
-    // Field-at-a-time reads: argument evaluation order is unspecified, so
-    // never nest two Reader calls in one expression.
-    RtdsNode::Lock lock{};
-    lock.initiator = r.u32();
-    lock.job = r.u64();
-    n.lock_ = lock;
-  }
-
-  n.endorsement_.reset();
-  if (r.b()) {
-    RtdsNode::OutstandingEndorsement e;
-    e.job = r.u64();
-    e.job_data = load_job(r, ctx);
-    e.mapping = load_mapping(r, ctx);
-    e.endorsed = load_u32_vec(r);
-    n.endorsement_ = std::move(e);
-  }
-
-  n.queue_.clear();
-  {
-    const std::uint64_t count = r.u64();
-    n.queue_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      auto job = load_job(r, ctx);
-      if (job == nullptr) r.fail("queued job without a body");
-      n.queue_.push_back(std::move(job));
-    }
-  }
-
-  n.active_.clear();
-  {
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const JobId id = r.u64();
-      RtdsNode::Initiation init;
-      init.job = load_job(r, ctx);
-      const std::uint8_t phase = r.u8();
-      if (phase > static_cast<std::uint8_t>(RtdsNode::Initiation::Phase::kDone))
-        r.fail("initiation phase out of range");
-      init.phase = static_cast<RtdsNode::Initiation::Phase>(phase);
-      init.expected_replies = static_cast<std::size_t>(r.u64());
-      init.received_replies = static_cast<std::size_t>(r.u64());
-      init.repliers = load_u32_vec(r);
-      init.acs = load_u32_vec(r);
-      const std::uint64_t surplus_count = r.u64();
-      init.surplus_of.reserve(surplus_count);
-      for (std::uint64_t k = 0; k < surplus_count; ++k) {
-        const SiteId site = r.u32();
-        const double surplus = r.f64();
-        init.surplus_of.emplace_back(site, surplus);
-      }
-      init.mapping = load_mapping(r, ctx);
-      init.acs_diameter = r.f64();
-      const std::uint64_t endorse_count = r.u64();
-      init.endorsements.reserve(endorse_count);
-      for (std::uint64_t k = 0; k < endorse_count; ++k) {
-        const SiteId site = r.u32();
-        auto procs = load_u32_vec(r);
-        init.endorsements.emplace_back(site, std::move(procs));
-      }
-      init.validate_expected = static_cast<std::size_t>(r.u64());
-      init.timed_out = r.b();
-      n.active_.emplace(id, std::move(init));
-    }
-  }
-
-  n.buffered_enrolls_.clear();
-  {
-    const std::uint64_t count = r.u64();
-    n.buffered_enrolls_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const SiteId from = r.u32();
-      EnrollRequest msg;
-      msg.job = r.u64();
-      msg.deadline = r.f64();
-      msg.seq = r.u64();
-      n.buffered_enrolls_.emplace_back(from, msg);
-    }
-  }
-
-  n.pending_completions_.clear();
-  {
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const JobId job = r.u64();
-      n.pending_completions_[job] = r.u32();
-    }
-  }
-
-  n.send_seq_ = FlatMap<SiteId, std::uint64_t>{};
-  {
-    const std::uint64_t count = r.u64();
-    n.send_seq_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const SiteId peer = r.u32();
-      n.send_seq_[peer] = r.u64();
-    }
-  }
-  n.recv_window_ = FlatMap<SiteId, fault::DedupWindow>{};
-  {
-    const std::uint64_t count = r.u64();
-    n.recv_window_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const SiteId peer = r.u32();
-      load(r, n.recv_window_[peer]);
-    }
-  }
-
-  n.retries_.clear();
-  {
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const JobId job = r.u64();
-      const SiteId peer = r.u32();
-      RtdsNode::Retry retry;
-      retry.payload = load_body(r, ctx);
-      retry.category = static_cast<int>(r.i64());
-      retry.size_units = r.f64();
-      retry.attempts = static_cast<int>(r.i64());
-      retry.gen = r.u64();
-      n.retries_.emplace(std::make_pair(job, peer), std::move(retry));
-    }
-  }
-  n.retry_gen_ = r.u64();
-  load(r, n.retry_rng_);
-  for (auto& j : n.recent_dispatch_) j = r.u64();
-  n.recent_dispatch_count_ = static_cast<std::size_t>(r.u64());
-
-  load(r, n.sched_);
+  io(ar, n.sched_);
 }
 
 // ----------------------------------------------------------- system ----
 
-void Access::save_system(Writer& w, SaveContext& ctx, const RtdsSystem& sys) {
-  RTDS_REQUIRE_MSG(sys.cfg_.record_events && sys.sim_.recording(),
-                   "Snapshot::save requires SystemConfig::record_events = "
-                   "true from construction (pending events would carry no "
-                   "replay records)");
-
-  w.begin_section("clock");
-  w.f64(sys.sim_.now());
-  w.u64(sys.sim_.next_seq());
-  w.u64(sys.sim_.executed_events());
-  w.end_section();
-
-  // Repair-mutated routing tables (faults re-converge them in place).
-  w.begin_section("tables");
-  w.u64(sys.tables_.size());
-  for (const auto& t : sys.tables_) save(w, t);
-  w.end_section();
-
-  w.begin_section("fault");
-  w.b(sys.fault_state_ != nullptr);
-  if (sys.fault_state_ != nullptr) save(w, *sys.fault_state_);
-  w.end_section();
-
-  w.begin_section("checker");
-  w.b(sys.checker_ != nullptr);
-  if (sys.checker_ != nullptr) save(w, *sys.checker_);
-  w.end_section();
-
-  w.begin_section("nodes");
-  w.u64(sys.nodes_.size());
-  for (const auto& n : sys.nodes_) save_node(w, ctx, *n);
-  w.end_section();
-
-  w.begin_section("transport");
-  w.u8(static_cast<std::uint8_t>(sys.cfg_.transport_model));
-  switch (sys.cfg_.transport_model) {
-    case TransportModel::kIdeal: {
-      const auto* t =
-          static_cast<const IdealTransport*>(sys.transport_.get());
-      save(w, t->stats_);
-      break;
-    }
-    case TransportModel::kContended: {
-      const auto* t =
-          static_cast<const ContendedTransport*>(sys.transport_.get());
-      save(w, t->stats_);
-      w.f64(t->max_queueing_delay_);
-      w.u64(t->link_busy_until_.size());
-      for (const auto& [link, until] : t->link_busy_until_) {
-        w.u32(link.first);
-        w.u32(link.second);
-        w.f64(until);
-      }
-      break;
-    }
+template <class Ar>
+void Access::io(Ar& ar, Interner& in, RtdsSystem& sys) {
+  if constexpr (Ar::kLoading) {
+    RTDS_REQUIRE_MSG(sys.cfg_.record_events && sys.sim_.recording(),
+                     "snapshot restore target must be constructed with "
+                     "SystemConfig::record_events = true");
+    RTDS_REQUIRE_MSG(!sys.ran_,
+                     "snapshot restore target must be freshly constructed "
+                     "(this system already ran)");
+  } else {
+    RTDS_REQUIRE_MSG(sys.cfg_.record_events && sys.sim_.recording(),
+                     "Snapshot::save requires SystemConfig::record_events = "
+                     "true from construction (pending events would carry no "
+                     "replay records)");
   }
-  w.end_section();
 
-  w.begin_section("system");
-  save(w, sys.metrics_);
-  w.u64(sys.decisions_.size());
-  for (const auto& d : sys.decisions_) save(w, d);
-  {
-    const auto items = sys.job_messages_.sorted_items();
-    w.u64(items.size());
-    for (const auto& [job, hops] : items) {
-      w.u64(job);
-      w.u64(hops);
-    }
-  }
-  {
-    const auto items = sys.accepted_.sorted_items();
-    w.u64(items.size());
-    for (const auto& [job, track] : items) {
-      w.u64(job);
-      w.u64(track.tasks_expected);
-      w.u64(track.tasks_done);
-      w.f64(track.arrival);
-      w.f64(track.completion);
-      w.f64(track.deadline);
-      w.b(track.failed);
-    }
-  }
-  {
-    const auto items = sys.early_failures_.map_.sorted_items();
-    w.u64(items.size());
-    for (const auto& [job, present] : items) {
-      (void)present;
-      w.u64(job);
-    }
-  }
-  w.b(sys.ran_);
-  w.f64(sys.last_stream_release_);
-  w.end_section();
-}
-
-void Access::load_system(Reader& r, LoadContext& ctx, RtdsSystem& sys) {
-  RTDS_REQUIRE_MSG(sys.cfg_.record_events && sys.sim_.recording(),
-                   "snapshot restore target must be constructed with "
-                   "SystemConfig::record_events = true");
-  RTDS_REQUIRE_MSG(!sys.ran_,
-                   "snapshot restore target must be freshly constructed "
-                   "(this system already ran)");
-
+  ar.begin_section("clock");
+  Time now = sys.sim_.now();
+  std::uint64_t next_seq = sys.sim_.next_seq();
+  std::uint64_t executed = sys.sim_.executed_events();
+  ar.f64(now);
+  ar.u64(next_seq);
+  ar.u64(executed);
+  ar.end_section();
   // Clock first: drop the constructor-scheduled events (the fault plan),
   // which the snapshot's own event section supersedes, then move the clock
   // so the re-posted events schedule legally.
-  r.expect_section("clock");
-  const Time now = r.f64();
-  const std::uint64_t next_seq = r.u64();
-  const std::uint64_t executed = r.u64();
-  r.end_section();
-  sys.sim_.clear_pending();
-  sys.sim_.restore_clock(now, next_seq, executed);
+  if constexpr (Ar::kLoading) {
+    sys.sim_.clear_pending();
+    sys.sim_.restore_clock(now, next_seq, executed);
+  }
 
-  r.expect_section("tables");
-  if (r.u64() != sys.tables_.size())
-    r.fail("snapshot spans a different site count than this topology");
-  for (auto& t : sys.tables_) load(r, t);
-  r.end_section();
-  // repairer_ stays null: it is pure per-repair scratch, rebuilt on the
+  // Repair-mutated routing tables (faults re-converge them in place).
+  // repairer_ is not stored: it is pure per-repair scratch, rebuilt on the
   // next topology change exactly as a cold run would.
+  ar.begin_section("tables");
+  ar.expect(sys.tables_.size(),
+            "snapshot spans a different site count than this topology");
+  for (RoutingTable& t : sys.tables_) io(ar, t);
+  ar.end_section();
 
-  r.expect_section("fault");
-  {
-    const bool has_fault = r.b();
-    if (has_fault != (sys.fault_state_ != nullptr))
-      r.fail("snapshot fault-plan presence does not match this config");
-    if (has_fault) load(r, *sys.fault_state_);
-  }
-  r.end_section();
+  ar.begin_section("fault");
+  if (ar.presence(sys.fault_state_ != nullptr,
+                  "snapshot fault-plan presence does not match this config",
+                  "snapshot fault-plan presence does not match this config"))
+    io(ar, *sys.fault_state_);
+  ar.end_section();
 
-  r.expect_section("checker");
-  {
-    const bool has_checker = r.b();
-    if (has_checker != (sys.checker_ != nullptr))
-      r.fail(has_checker
-                 ? "snapshot was taken with the invariant checker on — "
-                   "enable check_invariants (--check-invariants) to resume"
-                 : "snapshot was taken without the invariant checker — "
-                   "disable check_invariants to resume");
-    if (has_checker) load(r, *sys.checker_);
-  }
-  r.end_section();
+  ar.begin_section("checker");
+  if (ar.presence(sys.checker_ != nullptr,
+                  "snapshot was taken with the invariant checker on — "
+                  "enable check_invariants (--check-invariants) to resume",
+                  "snapshot was taken without the invariant checker — "
+                  "disable check_invariants to resume"))
+    io(ar, *sys.checker_);
+  ar.end_section();
 
-  r.expect_section("nodes");
-  if (r.u64() != sys.nodes_.size())
-    r.fail("snapshot node count does not match this topology");
-  for (auto& n : sys.nodes_) load_node(r, ctx, *n);
-  r.end_section();
+  ar.begin_section("nodes");
+  ar.expect(sys.nodes_.size(),
+            "snapshot node count does not match this topology");
+  for (auto& n : sys.nodes_) io(ar, in, *n);
+  ar.end_section();
 
-  r.expect_section("transport");
-  if (r.u8() != static_cast<std::uint8_t>(sys.cfg_.transport_model))
-    r.fail("snapshot transport model does not match this config");
-  switch (sys.cfg_.transport_model) {
-    case TransportModel::kIdeal: {
-      auto* t = static_cast<IdealTransport*>(sys.transport_.get());
-      load(r, t->stats_);
-      break;
-    }
-    case TransportModel::kContended: {
-      auto* t = static_cast<ContendedTransport*>(sys.transport_.get());
-      load(r, t->stats_);
-      t->max_queueing_delay_ = r.f64();
-      t->link_busy_until_.clear();
-      const std::uint64_t count = r.u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        const SiteId a = r.u32();
-        const SiteId b = r.u32();
-        t->link_busy_until_[{a, b}] = r.f64();
-      }
-      break;
-    }
+  ar.begin_section("transport");
+  ar.expect(static_cast<std::uint8_t>(sys.cfg_.transport_model),
+            "snapshot transport model does not match this config");
+  if (sys.cfg_.transport_model == TransportModel::kIdeal) {
+    io(ar, static_cast<IdealTransport&>(*sys.transport_).stats_);
+  } else {
+    auto& t = static_cast<ContendedTransport&>(*sys.transport_);
+    io(ar, t.stats_);
+    ar.f64(t.max_queueing_delay_);
+    entries(ar, t.link_busy_until_, 4 + 4 + 8,
+            [](Ar& a, auto& link, Time& until) {
+              a.u32(link.first);
+              a.u32(link.second);
+              a.f64(until);
+            });
   }
-  r.end_section();
+  ar.end_section();
 
-  r.expect_section("system");
-  load(r, sys.metrics_);
-  {
-    const std::uint64_t count = r.u64();
-    sys.decisions_.clear();
-    sys.decisions_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      JobDecision d;
-      load(r, d);
-      sys.decisions_.push_back(d);
+  ar.begin_section("system");
+  io(ar, sys.metrics_);
+  length(ar, sys.decisions_, 8 + 4 + 1 + 1 + 8 * 7 + 1);
+  for (JobDecision& d : sys.decisions_) io(ar, d);
+  entries(ar, sys.job_messages_, 8 + 8,
+          [](Ar& a, auto& job, std::uint64_t& hops) {
+            a.u64(job);
+            a.u64(hops);
+          });
+  entries(ar, sys.accepted_, 8 * 6 + 1,
+          [](Ar& a, auto& job, RtdsSystem::JobTrack& track) {
+            a.u64(job);
+            a.u64(track.tasks_expected);
+            a.u64(track.tasks_done);
+            a.f64(track.arrival);
+            a.f64(track.completion);
+            a.f64(track.deadline);
+            a.b(track.failed);
+          });
+  io(ar, sys.early_failures_);
+  ar.b(sys.ran_);
+  ar.f64(sys.last_stream_release_);
+  ar.end_section();
+
+  // Every pending event's (time, record) pair in execution order.
+  ar.begin_section("events");
+  std::vector<Simulator::PendingEvent> pending;
+  if constexpr (!Ar::kLoading) pending = sys.sim_.pending_events();
+  const std::size_t count =
+      ar.count(pending.size(), 8 + 1 + 1 + 4 * 3 + 8 + 4 + 8 * 3 + 1 + 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    Time at = 0.0;
+    EventRecord rec;
+    if constexpr (!Ar::kLoading) {
+      const EventRecord* saved = sys.sim_.record_of(pending[i].seq);
+      RTDS_REQUIRE_MSG(saved != nullptr,
+                       "pending event seq "
+                           << pending[i].seq << " at t=" << pending[i].at
+                           << " carries no replay record — this event "
+                              "source does not support checkpointing");
+      at = pending[i].at;
+      rec = *saved;
     }
+    ar.f64(at);
+    io_record(ar, in, rec);
+    if constexpr (Ar::kLoading) repost(ar, sys, at, std::move(rec));
   }
-  {
-    const std::uint64_t count = r.u64();
-    sys.job_messages_ = FlatMap<JobId, std::uint64_t>{};
-    sys.job_messages_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const JobId job = r.u64();
-      sys.job_messages_[job] = r.u64();
-    }
-  }
-  {
-    const std::uint64_t count = r.u64();
-    sys.accepted_ = FlatMap<JobId, RtdsSystem::JobTrack>{};
-    sys.accepted_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const JobId job = r.u64();
-      RtdsSystem::JobTrack& track = sys.accepted_[job];
-      track.tasks_expected = static_cast<std::size_t>(r.u64());
-      track.tasks_done = static_cast<std::size_t>(r.u64());
-      track.arrival = r.f64();
-      track.completion = r.f64();
-      track.deadline = r.f64();
-      track.failed = r.b();
-    }
-  }
-  {
-    const std::uint64_t count = r.u64();
-    sys.early_failures_ = FlatSet<JobId>{};
-    for (std::uint64_t i = 0; i < count; ++i)
-      sys.early_failures_.insert(r.u64());
-  }
-  sys.ran_ = r.b();
-  sys.last_stream_release_ = r.f64();
-  r.end_section();
+  ar.end_section();
 }
 
-// ----------------------------------------------------------- events ----
-
-void Access::save_events(Writer& w, SaveContext& ctx, const RtdsSystem& sys) {
-  const Simulator& sim = sys.sim_;
-  w.begin_section("events");
-  const auto pending = sim.pending_events();
-  w.u64(pending.size());
-  for (const auto& pe : pending) {
-    const EventRecord* rec = sim.record_of(pe.seq);
-    RTDS_REQUIRE_MSG(rec != nullptr,
-                     "pending event seq " << pe.seq << " at t=" << pe.at
-                                          << " carries no replay record — "
-                                             "this event source does not "
-                                             "support checkpointing");
-    w.f64(pe.at);
-    w.u8(static_cast<std::uint8_t>(rec->kind));
-    w.u8(rec->small);
-    w.u32(rec->site);
-    w.u32(rec->peer);
-    w.u32(rec->dest);
-    w.u64(rec->job);
-    w.u32(rec->task);
-    w.u64(rec->a);
-    w.f64(rec->x);
-    w.f64(rec->y);
-    w.b(rec->job_ref != nullptr);
-    if (rec->job_ref != nullptr)
-      save_job(w, ctx, std::static_pointer_cast<const Job>(rec->job_ref));
-    w.b(rec->payload != nullptr);
-    if (rec->payload != nullptr)
-      save_body(w, ctx,
-                *std::static_pointer_cast<const MessageBody>(rec->payload));
-  }
-  w.end_section();
-}
-
-void Access::load_events(Reader& r, LoadContext& ctx, RtdsSystem& sys) {
+void Access::repost(Reader& r, RtdsSystem& sys, Time at, EventRecord rec) {
   using Kind = EventRecord::Kind;
   Simulator& sim = sys.sim_;
   IdealTransport* ideal =
@@ -705,160 +411,137 @@ void Access::load_events(Reader& r, LoadContext& ctx, RtdsSystem& sys) {
       sys.cfg_.transport_model == TransportModel::kContended
           ? static_cast<ContendedTransport*>(sys.transport_.get())
           : nullptr;
+  const auto node_of = [&](SiteId s) -> RtdsNode* {
+    if (s >= sys.nodes_.size()) r.fail("event site outside the topology");
+    return sys.nodes_[s].get();
+  };
+  const auto body_of = [&]() -> std::shared_ptr<const MessageBody> {
+    auto p = std::static_pointer_cast<const MessageBody>(rec.payload);
+    if (p == nullptr) r.fail("message event without a payload");
+    return p;
+  };
 
-  r.expect_section("events");
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const Time at = r.f64();
-    EventRecord rec;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(Kind::kContendedHop))
-      r.fail("unknown event kind " + std::to_string(kind));
-    rec.kind = static_cast<Kind>(kind);
-    rec.small = r.u8();
-    rec.site = r.u32();
-    rec.peer = r.u32();
-    rec.dest = r.u32();
-    rec.job = r.u64();
-    rec.task = r.u32();
-    rec.a = r.u64();
-    rec.x = r.f64();
-    rec.y = r.f64();
-    if (r.b()) rec.job_ref = load_job(r, ctx);
-    if (r.b())
-      rec.payload = std::make_shared<const MessageBody>(load_body(r, ctx));
-
-    const auto node_of = [&](SiteId s) -> RtdsNode* {
-      if (s >= sys.nodes_.size()) r.fail("event site outside the topology");
-      return sys.nodes_[s].get();
-    };
-    const auto body_of = [&]() -> std::shared_ptr<const MessageBody> {
-      auto p = std::static_pointer_cast<const MessageBody>(rec.payload);
-      if (p == nullptr) r.fail("message event without a payload");
-      return p;
-    };
-
-    // Re-post through the entry point the original closure called; each
-    // draws a fresh sequence >= the saved next_seq, in saved execution
-    // order, so ties break exactly as before.
-    switch (rec.kind) {
-      case Kind::kNone:
-        r.fail("event record without a kind");
-      case Kind::kFault: {
-        fault::FaultEvent ev;
-        ev.at = rec.x;
-        ev.kind = static_cast<fault::FaultKind>(rec.small);
-        ev.a = rec.site;
-        ev.b = rec.peer;
-        sim.schedule_at(at, [&sys, ev]() { sys.apply_fault(ev); });
-        break;
-      }
-      case Kind::kArrival: {
-        auto job = std::static_pointer_cast<const Job>(rec.job_ref);
-        if (job == nullptr) r.fail("arrival event without a job");
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(at, [node, job]() { node->submit(job); });
-        break;
-      }
-      case Kind::kStreamArrival: {
-        auto job = std::static_pointer_cast<const Job>(rec.job_ref);
-        if (job == nullptr) r.fail("stream arrival event without a job");
-        node_of(rec.site);  // range check only
-        JobArrival a{rec.site, std::move(job)};
-        sim.schedule_at(at, [&sys, a]() { sys.fire_stream_arrival(a); });
-        break;
-      }
-      case Kind::kEnrollTimeout: {
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(
-            at, [node, job = rec.job]() { node->on_enroll_timeout(job); });
-        break;
-      }
-      case Kind::kMapper: {
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(at, [node, job = rec.job]() { node->run_mapper(job); });
-        break;
-      }
-      case Kind::kValidateTimeout: {
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(
-            at, [node, job = rec.job]() { node->on_validate_timeout(job); });
-        break;
-      }
-      case Kind::kRetryTimer: {
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(at, [node, job = rec.job, peer = rec.peer,
-                             gen = rec.a, rto = rec.x]() {
-          node->on_retry_timer(job, peer, gen, rto);
-        });
-        break;
-      }
-      case Kind::kCompletion: {
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(at, [node, job = rec.job, task = rec.task,
-                             end = rec.x, epoch = rec.a]() {
-          node->fire_completion(job, task, end, epoch);
-        });
-        break;
-      }
-      case Kind::kLeaseExpiry: {
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(
-            at, [node, seq = rec.a]() { node->on_lease_expired(seq); });
-        break;
-      }
-      case Kind::kStartNext: {
-        RtdsNode* node = node_of(rec.site);
-        sim.schedule_at(at, [node]() { node->fire_start_next(); });
-        break;
-      }
-      case Kind::kSelfDeliver: {
-        auto p = body_of();
-        if (ideal != nullptr) {
-          sim.schedule_at(at,
-                          [t = ideal, from = rec.site, to = rec.peer, p]() {
-                            t->deliver_self(from, to, *p);
-                          });
-        } else {
-          sim.schedule_at(at,
-                          [t = cont, from = rec.site, to = rec.peer, p]() {
-                            t->deliver_self(from, to, *p);
-                          });
-        }
-        break;
-      }
-      case Kind::kDeliver: {
-        if (ideal == nullptr)
-          r.fail("ideal-transport event under a contended config");
-        auto p = body_of();
-        sim.schedule_at(at, [t = ideal, from = rec.site, to = rec.peer, p]() {
-          t->deliver(from, to, *p);
-        });
-        break;
-      }
-      case Kind::kContendedInject: {
-        if (cont == nullptr)
-          r.fail("contended-transport event under an ideal config");
-        auto p = body_of();
-        sim.schedule_at(at, [t = cont, from = rec.site, to = rec.peer, p,
-                             size = rec.y]() { t->forward(from, to, p, size); });
-        break;
-      }
-      case Kind::kContendedHop: {
-        if (cont == nullptr)
-          r.fail("contended-transport event under an ideal config");
-        auto p = body_of();
-        sim.schedule_at(at, [t = cont, origin = rec.site, cur = rec.peer,
-                             to = rec.dest, p, size = rec.y]() {
-          t->hop(origin, cur, to, p, size);
-        });
-        break;
-      }
+  // Re-post through the entry point the original closure called; each
+  // draws a fresh sequence >= the saved next_seq, in saved execution
+  // order, so ties break exactly as before.
+  switch (rec.kind) {
+    case Kind::kNone:
+      r.fail("event record without a kind");
+    case Kind::kFault: {
+      if (rec.small > static_cast<std::uint8_t>(fault::FaultKind::kHeal))
+        r.fail("fault kind " + std::to_string(rec.small) + " out of range");
+      fault::FaultEvent ev;
+      ev.at = rec.x;
+      ev.kind = static_cast<fault::FaultKind>(rec.small);
+      ev.a = rec.site;
+      ev.b = rec.peer;
+      sim.schedule_at(at, [&sys, ev]() { sys.apply_fault(ev); });
+      break;
     }
-    // Re-annotate so the resumed run can itself be snapshotted.
-    sim.annotate(std::move(rec));
+    case Kind::kArrival: {
+      auto job = std::static_pointer_cast<const Job>(rec.job_ref);
+      if (job == nullptr) r.fail("arrival event without a job");
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(at, [node, job]() { node->submit(job); });
+      break;
+    }
+    case Kind::kStreamArrival: {
+      auto job = std::static_pointer_cast<const Job>(rec.job_ref);
+      if (job == nullptr) r.fail("stream arrival event without a job");
+      node_of(rec.site);  // range check only
+      JobArrival a{rec.site, std::move(job)};
+      sim.schedule_at(at, [&sys, a]() { sys.fire_stream_arrival(a); });
+      break;
+    }
+    case Kind::kEnrollTimeout: {
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(
+          at, [node, job = rec.job]() { node->on_enroll_timeout(job); });
+      break;
+    }
+    case Kind::kMapper: {
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(at, [node, job = rec.job]() { node->run_mapper(job); });
+      break;
+    }
+    case Kind::kValidateTimeout: {
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(
+          at, [node, job = rec.job]() { node->on_validate_timeout(job); });
+      break;
+    }
+    case Kind::kRetryTimer: {
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(at, [node, job = rec.job, peer = rec.peer,
+                           gen = rec.a, rto = rec.x]() {
+        node->on_retry_timer(job, peer, gen, rto);
+      });
+      break;
+    }
+    case Kind::kCompletion: {
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(at, [node, job = rec.job, task = rec.task,
+                           end = rec.x, epoch = rec.a]() {
+        node->fire_completion(job, task, end, epoch);
+      });
+      break;
+    }
+    case Kind::kLeaseExpiry: {
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(
+          at, [node, seq = rec.a]() { node->on_lease_expired(seq); });
+      break;
+    }
+    case Kind::kStartNext: {
+      RtdsNode* node = node_of(rec.site);
+      sim.schedule_at(at, [node]() { node->fire_start_next(); });
+      break;
+    }
+    case Kind::kSelfDeliver: {
+      auto p = body_of();
+      if (ideal != nullptr) {
+        sim.schedule_at(at,
+                        [t = ideal, from = rec.site, to = rec.peer, p]() {
+                          t->deliver_self(from, to, *p);
+                        });
+      } else {
+        sim.schedule_at(at,
+                        [t = cont, from = rec.site, to = rec.peer, p]() {
+                          t->deliver_self(from, to, *p);
+                        });
+      }
+      break;
+    }
+    case Kind::kDeliver: {
+      if (ideal == nullptr)
+        r.fail("ideal-transport event under a contended config");
+      auto p = body_of();
+      sim.schedule_at(at, [t = ideal, from = rec.site, to = rec.peer, p]() {
+        t->deliver(from, to, *p);
+      });
+      break;
+    }
+    case Kind::kContendedInject: {
+      if (cont == nullptr)
+        r.fail("contended-transport event under an ideal config");
+      auto p = body_of();
+      sim.schedule_at(at, [t = cont, from = rec.site, to = rec.peer, p,
+                           size = rec.y]() { t->forward(from, to, p, size); });
+      break;
+    }
+    case Kind::kContendedHop: {
+      if (cont == nullptr)
+        r.fail("contended-transport event under an ideal config");
+      auto p = body_of();
+      sim.schedule_at(at, [t = cont, origin = rec.site, cur = rec.peer,
+                           to = rec.dest, p, size = rec.y]() {
+        t->hop(origin, cur, to, p, size);
+      });
+      break;
+    }
   }
-  r.end_section();
+  // Re-annotate so the resumed run can itself be snapshotted.
+  sim.annotate(std::move(rec));
 }
 
 std::uint64_t Access::config_hash_of(const RtdsSystem& sys) {
@@ -869,68 +552,37 @@ std::uint64_t Access::config_hash_of(const RtdsSystem& sys) {
 
 namespace {
 
-void write_snapshot(Writer& w, const RtdsSystem& sys,
-                    const SnapshotExtras& extras) {
-  SaveContext ctx;
-  Access::save_system(w, ctx, sys);
-  Access::save_events(w, ctx, sys);
+template <class Ar>
+void io_snapshot(Ar& ar, RtdsSystem& sys, const SnapshotExtras& extras) {
+  Interner in;
+  Access::io(ar, in, sys);
 
-  w.begin_section("obs");
-  w.b(extras.metrics != nullptr);
-  if (extras.metrics != nullptr) Access::save(w, *extras.metrics);
-  w.end_section();
+  ar.begin_section("obs");
+  if (ar.presence(extras.metrics != nullptr,
+                  "snapshot carries obs metrics but no buffer was supplied",
+                  "snapshot carries no obs metrics but a buffer was supplied"))
+    Access::io(ar, *extras.metrics);
+  ar.end_section();
 
-  w.begin_section("collector");
-  w.b(extras.collector != nullptr);
-  if (extras.collector != nullptr) Access::save(w, *extras.collector);
-  w.end_section();
+  ar.begin_section("collector");
+  if (ar.presence(extras.collector != nullptr,
+                  "snapshot carries a steady-state collector but none was "
+                  "supplied",
+                  "snapshot carries no steady-state collector but one was "
+                  "supplied"))
+    Access::io(ar, *extras.collector);
+  ar.end_section();
 
-  w.begin_section("source");
-  w.b(extras.source != nullptr);
-  if (extras.source != nullptr) extras.source->save_state(w);
-  w.end_section();
-}
-
-void read_snapshot(Reader& r, RtdsSystem& sys, const SnapshotExtras& extras) {
-  r.require_config_hash(Access::config_hash_of(sys));
-  LoadContext ctx;
-  Access::load_system(r, ctx, sys);
-  Access::load_events(r, ctx, sys);
-
-  r.expect_section("obs");
-  {
-    const bool present = r.b();
-    if (present && extras.metrics == nullptr)
-      r.fail("snapshot carries obs metrics but no buffer was supplied");
-    if (!present && extras.metrics != nullptr)
-      r.fail("snapshot carries no obs metrics but a buffer was supplied");
-    if (present) Access::load(r, *extras.metrics);
+  ar.begin_section("source");
+  if (ar.presence(extras.source != nullptr,
+                  "snapshot carries an arrival source but none was supplied",
+                  "snapshot carries no arrival source but one was supplied")) {
+    if constexpr (Ar::kLoading)
+      extras.source->load_state(ar);
+    else
+      extras.source->save_state(ar);
   }
-  r.end_section();
-
-  r.expect_section("collector");
-  {
-    const bool present = r.b();
-    if (present && extras.collector == nullptr)
-      r.fail("snapshot carries a steady-state collector but none was "
-             "supplied");
-    if (!present && extras.collector != nullptr)
-      r.fail("snapshot carries no steady-state collector but one was "
-             "supplied");
-    if (present) Access::load(r, *extras.collector);
-  }
-  r.end_section();
-
-  r.expect_section("source");
-  {
-    const bool present = r.b();
-    if (present && extras.source == nullptr)
-      r.fail("snapshot carries an arrival source but none was supplied");
-    if (!present && extras.source != nullptr)
-      r.fail("snapshot carries no arrival source but one was supplied");
-    if (present) extras.source->load_state(r);
-  }
-  r.end_section();
+  ar.end_section();
 }
 
 }  // namespace
@@ -938,27 +590,29 @@ void read_snapshot(Reader& r, RtdsSystem& sys, const SnapshotExtras& extras) {
 std::string Snapshot::save(const RtdsSystem& sys,
                            const SnapshotExtras& extras) {
   Writer w(kFormatVersion, Access::config_hash_of(sys));
-  write_snapshot(w, sys, extras);
+  io_snapshot(w, as_mutable(sys), extras);
   return w.finish();
 }
 
 void Snapshot::save_file(const RtdsSystem& sys, const std::string& path,
                          const SnapshotExtras& extras) {
   Writer w(kFormatVersion, Access::config_hash_of(sys));
-  write_snapshot(w, sys, extras);
+  io_snapshot(w, as_mutable(sys), extras);
   w.write_file(path);
 }
 
 void Snapshot::load(std::string bytes, RtdsSystem& sys,
                     const SnapshotExtras& extras) {
   Reader r(std::move(bytes), "snapshot");
-  read_snapshot(r, sys, extras);
+  r.require_config_hash(Access::config_hash_of(sys));
+  io_snapshot(r, sys, extras);
 }
 
 void Snapshot::load_file(const std::string& path, RtdsSystem& sys,
                          const SnapshotExtras& extras) {
   Reader r = Reader::from_file(path, "snapshot");
-  read_snapshot(r, sys, extras);
+  r.require_config_hash(Access::config_hash_of(sys));
+  io_snapshot(r, sys, extras);
 }
 
 }  // namespace rtds::snap

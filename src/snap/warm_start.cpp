@@ -30,6 +30,18 @@ std::map<std::pair<std::uint64_t, std::size_t>, std::string>& cache() {
   return c;
 }
 
+/// The entry's one section: the table count, every table, every sphere.
+template <class Ar>
+void io_bring_up(Ar& ar, std::vector<RoutingTable>& tables,
+                 std::vector<Pcs>& spheres) {
+  ar.begin_section("bring_up");
+  const std::size_t n = length(ar, tables, 4 * 3 + 8);
+  if constexpr (Ar::kLoading) spheres.assign(n, Pcs{});
+  for (RoutingTable& t : tables) Access::io(ar, t);
+  for (Pcs& p : spheres) Access::io(ar, p);
+  ar.end_section();
+}
+
 }  // namespace
 
 void set_warm_start_enabled(bool on) {
@@ -58,23 +70,7 @@ bool warm_start_acquire(const Topology& topo, std::size_t h,
 
   Reader r(std::move(bytes), "warm-start cache entry");
   r.require_config_hash(key.first);
-  r.expect_section("bring_up");
-  const std::uint64_t n = r.u64();
-  tables.clear();
-  tables.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    RoutingTable t;
-    Access::load(r, t);
-    tables.push_back(std::move(t));
-  }
-  spheres.clear();
-  spheres.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Pcs p;
-    Access::load(r, p);
-    spheres.push_back(std::move(p));
-  }
-  r.end_section();
+  io_bring_up(r, tables, spheres);
   return true;
 }
 
@@ -83,11 +79,7 @@ void warm_start_store(const Topology& topo, std::size_t h,
                       const std::vector<Pcs>& spheres) {
   const auto key = std::make_pair(Access::topology_hash(topo), h);
   Writer w(kFormatVersion, key.first);
-  w.begin_section("bring_up");
-  w.u64(tables.size());
-  for (const RoutingTable& t : tables) Access::save(w, t);
-  for (const Pcs& p : spheres) Access::save(w, p);
-  w.end_section();
+  io_bring_up(w, as_mutable(tables), as_mutable(spheres));
   std::string bytes = w.finish();
 
   std::lock_guard<std::mutex> lock(cache_mutex());

@@ -28,6 +28,9 @@ namespace rtds {
 template <typename Key, typename Value>
 class FlatMap {
  public:
+  using key_type = Key;
+  using mapped_type = Value;
+
   FlatMap() = default;
 
   std::size_t size() const { return size_; }

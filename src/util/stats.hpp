@@ -70,8 +70,6 @@ class Samples {
   mutable std::vector<double> values_;
   mutable bool sorted_ = false;
   void ensure_sorted() const;
-
-  friend struct snap::Access;  // checkpoints restore the sample vector
 };
 
 /// Fixed-width histogram over [lo, hi); out-of-range values clamp to the

@@ -18,16 +18,24 @@
 //      mismatches each throw ContractViolation naming the damage — never a
 //      crash (the suite runs under ASan/UBSan in CI);
 //  (e) the open-system extras (ArrivalSource positions, steady-state
-//      collector) round-trip through the engine's checkpoint path.
+//      collector) round-trip through the engine's checkpoint path, for
+//      generated and trace-replay sources;
+//  (f) wire format: digests of the exact bytes on disk, and element counts
+//      forged behind a recomputed checksum fail as located
+//      ContractViolations, never as allocation failures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "core/rtds_system.hpp"
@@ -38,6 +46,7 @@
 #include "fault/fault_params.hpp"
 #include "load/engine.hpp"
 #include "load/source.hpp"
+#include "load/window.hpp"
 #include "obs/obs.hpp"
 #include "policy/policy.hpp"
 #include "policy/rtds_params.hpp"
@@ -413,6 +422,158 @@ TEST(SnapshotNegative, LoadIntoUsedSystemThrows) {
   EXPECT_THROW(Snapshot::load(good, used), ContractViolation);
 }
 
+/// Where a section's body sits in a container, and where its checksum is.
+struct SectionSpan {
+  std::size_t checksum_at = 0;
+  std::size_t body = 0;
+  std::size_t length = 0;
+};
+
+std::uint64_t read_u64_le(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i)
+    v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+  return v;
+}
+
+void write_u64_le(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/// Walks the container framing (snap/io.hpp) to the named section.
+SectionSpan find_section(const std::string& bytes, const std::string& name) {
+  std::size_t pos = 8 + 4 + 8;  // magic, version, config hash
+  while (pos < bytes.size() && bytes[pos] != '\0') {
+    const auto name_len = static_cast<unsigned char>(bytes[pos]);
+    const std::string found = bytes.substr(pos + 1, name_len);
+    SectionSpan span;
+    span.length =
+        static_cast<std::size_t>(read_u64_le(bytes, pos + 1 + name_len));
+    span.checksum_at = pos + 1 + name_len + 8;
+    span.body = span.checksum_at + 8;
+    if (found == name) return span;
+    pos = span.body + span.length;
+  }
+  ADD_FAILURE() << "no section '" << name << "'";
+  return {};
+}
+
+/// Overwrites 8 bytes at `offset` into the section body and recomputes the
+/// section checksum, so only the structural validation can catch it.
+std::string forge_u64(std::string bytes, const std::string& section,
+                      std::size_t offset, std::uint64_t value) {
+  const SectionSpan span = find_section(bytes, section);
+  write_u64_le(bytes, span.body + offset, value);
+  write_u64_le(bytes, span.checksum_at,
+               snap::section_checksum(bytes.data() + span.body, span.length));
+  return bytes;
+}
+
+/// A snapshot of a just-started chaos run carrying every sidecar, so each
+/// section exists; the sidecars are standalone objects of a fixed config.
+struct FullSnapshot {
+  ChaosCase cc = make_chaos_case(11, "ideal");
+  load::ArrivalSpec source_spec;
+  load::WindowConfig window;
+  std::string bytes;
+
+  FullSnapshot() {
+    source_spec.kind = load::ArrivalKind::kBursty;
+    source_spec.site_count = cc.condition.topo.site_count();
+    source_spec.workload.seed = 3;
+    RtdsSystem sys(cc.condition.topo, cc.cfg);
+    sys.start(cc.condition.arrivals);
+    obs::MetricsBuffer buf;
+    buf.add(obs::Registry::instance().counter("snapshot_test.forged"), 1);
+    load::SteadyStateCollector collector(window);
+    const auto source = load::make_arrival_source(source_spec);
+    source->next();
+    bytes = Snapshot::save(sys, {&buf, &collector, source.get()});
+  }
+
+  /// Loads `forged` into fresh objects; returns the ContractViolation text,
+  /// or "" when the bytes loaded. Any other exception fails the test.
+  std::string load_error(std::string forged) const {
+    RtdsSystem fresh(cc.condition.topo, cc.cfg);
+    obs::MetricsBuffer buf;
+    load::SteadyStateCollector collector(window);
+    const auto source = load::make_arrival_source(source_spec);
+    try {
+      Snapshot::load(std::move(forged), fresh,
+                     {&buf, &collector, source.get()});
+    } catch (const ContractViolation& e) {
+      return e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "forged snapshot threw " << typeid(e).name() << ": "
+                    << e.what();
+    }
+    return "";
+  }
+};
+
+TEST(SnapshotNegative, ForgedCountsFailAsLocatedViolations) {
+  const FullSnapshot full;
+  ASSERT_EQ(full.load_error(full.bytes), "");
+  const std::size_t sites = full.cc.condition.topo.site_count();
+  const std::size_t links = full.cc.condition.topo.link_count();
+  // A count field in every section that has one (clock has none), at its
+  // body offset in this just-started snapshot.
+  const std::vector<std::pair<std::string, std::size_t>> counts = {
+      {"tables", 8 + 3 * 4},                 // site 0's route lines
+      {"fault", 1 + 8 + sites + 8 + links + 2 * 8 + 5 * 8 + 4},  // cut links
+      {"checker", 1 + 8 + 2 * 8},            // decided jobs
+      {"nodes", 8 + 1 + 3 * 8 + 1 + 1 + 1},  // site 0's admission queue
+      {"transport", 1},                      // message categories
+      {"system", 13 * 8},                    // reject reasons
+      {"events", 0},                         // pending events
+      {"obs", 1},                            // recorded metrics
+      {"collector", 1},                      // windows
+      {"source", 1 + 8},                     // site streams
+  };
+  for (const auto& [section, offset] : counts) {
+    for (const std::uint64_t forged : {std::uint64_t{1} << 40,
+                                       std::uint64_t{1} << 62}) {
+      const std::string what =
+          full.load_error(forge_u64(full.bytes, section, offset, forged));
+      EXPECT_NE(what.find("section '" + section + "'"), std::string::npos)
+          << "count " << forged << " forged into '" << section
+          << "' was not rejected there: " << what;
+    }
+  }
+}
+
+TEST(SnapshotNegative, ForgedSectionLengthReadsAsTruncation) {
+  const ChaosCase cc = make_chaos_case(11, "ideal");
+  const std::string good = valid_snapshot(cc);
+  const SectionSpan tables = find_section(good, "tables");
+  for (const std::uint64_t forged :
+       {~std::uint64_t{0}, ~std::uint64_t{0} - 7, std::uint64_t{1} << 63}) {
+    std::string bad = good;
+    write_u64_le(bad, tables.checksum_at - 8, forged);  // the body length
+    expect_load_violation(cc, std::move(bad), "forged section length");
+  }
+}
+
+TEST(SnapshotNegative, ForgedWordsNearEverySectionStartOnlyThrowViolations) {
+  // Any 8 bytes at the head of any section, checksum recomputed: the load
+  // either succeeds or throws ContractViolation (the reader's own, or a
+  // restored value's precondition, e.g. a clock that runs backwards) —
+  // never an allocation failure, a length error or a crash.
+  const FullSnapshot full;
+  for (const char* section : {"clock", "tables", "fault", "checker", "nodes",
+                              "transport", "system", "events", "obs",
+                              "collector", "source"}) {
+    const SectionSpan span = find_section(full.bytes, section);
+    for (std::size_t offset = 0;
+         offset + 8 <= std::min<std::size_t>(span.length, 48); ++offset) {
+      for (const std::uint64_t forged :
+           {std::uint64_t{1} << 40, ~std::uint64_t{0}})
+        full.load_error(forge_u64(full.bytes, section, offset, forged));
+    }
+  }
+}
+
 // --------------------------------------- (e) open-system checkpointing --
 
 TEST(OpenCheckpoint, EngineResumeMatchesUninterruptedRun) {
@@ -464,6 +625,99 @@ TEST(OpenCheckpoint, EngineResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.steady.completed, reference.steady.completed);
   EXPECT_EQ(resumed.steady.p99, reference.steady.p99);
   EXPECT_EQ(resumed.windows.size(), reference.windows.size());
+}
+
+/// A trace-replay source over the first `count` arrivals of a bursty
+/// stream.
+load::ArrivalSpec trace_spec(const Topology& topo,
+                             const exp::ConditionSpec& cs, std::size_t count) {
+  load::ArrivalSpec bursty;
+  bursty.kind = load::ArrivalKind::kBursty;
+  bursty.site_count = topo.site_count();
+  bursty.workload = exp::workload_config(cs);
+  load::ArrivalSpec spec;
+  spec.kind = load::ArrivalKind::kTrace;
+  spec.site_count = topo.site_count();
+  spec.trace = load::generate_open_workload(bursty, 150.0);
+  if (spec.trace.size() > count) spec.trace.resize(count);
+  return spec;
+}
+
+TEST(OpenCheckpoint, TraceSourceResumeMatchesUninterruptedRun) {
+  exp::ConditionSpec cs;
+  cs.sites = 16;
+  cs.rate = 0.05;
+  cs.seed = 9;
+  const Topology topo = exp::make_topology(cs);
+  const auto policy = policy::PolicyRegistry::instance().create("rtds");
+  const policy::ParamMap params = policy->parse_params(
+      {"faults.drop=0.01", "faults.retransmit=true", "faults.seed=9"});
+  const load::ArrivalSpec aspec = trace_spec(topo, cs, 1u << 30);
+  ASSERT_GT(aspec.trace.size(), 50u);
+
+  load::OpenConfig ocfg;
+  ocfg.duration = 150.0;
+  ocfg.window.warmup = 20.0;
+  ocfg.window.width = 10.0;
+  const auto reference_source = load::make_arrival_source(aspec);
+  const auto reference =
+      load::run_open_rtds(topo, *reference_source, ocfg, params);
+
+  load::OpenConfig ckpt = ocfg;
+  ckpt.checkpoint_path =
+      ::testing::TempDir() + "snapshot_test_trace_checkpoint.bin";
+  ckpt.checkpoint_every = 500;
+  std::remove(ckpt.checkpoint_path.c_str());
+  {
+    const auto source = load::make_arrival_source(aspec);
+    const auto full = load::run_open_rtds(topo, *source, ckpt, params);
+    ASSERT_EQ(metrics_bytes(full.metrics), metrics_bytes(reference.metrics));
+  }
+  load::OpenConfig resume = ckpt;
+  resume.resume = true;
+  const auto fresh_source = load::make_arrival_source(aspec);
+  const auto resumed =
+      load::run_open_rtds(topo, *fresh_source, resume, params);
+  EXPECT_EQ(metrics_bytes(resumed.metrics), metrics_bytes(reference.metrics))
+      << "trace-source resume from the last checkpoint diverged";
+  EXPECT_EQ(resumed.steady.completed, reference.steady.completed);
+  EXPECT_EQ(resumed.steady.p99, reference.steady.p99);
+  EXPECT_EQ(resumed.windows.size(), reference.windows.size());
+}
+
+TEST(OpenCheckpoint, TraceSourceStateMismatchesThrow) {
+  exp::ConditionSpec cs;
+  cs.sites = 25;
+  cs.rate = 0.05;
+  cs.seed = 11;
+  const ChaosCase cc = make_chaos_case(11, "ideal");
+  const load::ArrivalSpec spec = trace_spec(cc.condition.topo, cs, 40);
+  ASSERT_EQ(spec.trace.size(), 40u);
+  std::string bytes;
+  {
+    RtdsSystem sys(cc.condition.topo, cc.cfg);
+    sys.start(cc.condition.arrivals);
+    const auto source = load::make_arrival_source(spec);
+    for (int i = 0; i < 7; ++i) source->next();
+    bytes = Snapshot::save(sys, {nullptr, nullptr, source.get()});
+  }
+  const auto load_with = [&](const load::ArrivalSpec& s, std::string b) {
+    RtdsSystem fresh(cc.condition.topo, cc.cfg);
+    const auto source = load::make_arrival_source(s);
+    Snapshot::load(std::move(b), fresh, {nullptr, nullptr, source.get()});
+  };
+  EXPECT_NO_THROW(load_with(spec, bytes));
+
+  // A trace of a different length is a different source.
+  load::ArrivalSpec shorter = spec;
+  shorter.trace.pop_back();
+  EXPECT_THROW(load_with(shorter, bytes), ContractViolation);
+
+  // The cursor (after the presence flag and the trace length) forged past
+  // the end of the trace.
+  EXPECT_THROW(load_with(spec, forge_u64(bytes, "source", 1 + 8, 41)),
+               ContractViolation);
+  EXPECT_NO_THROW(load_with(spec, forge_u64(bytes, "source", 1 + 8, 40)));
 }
 
 // ------------------------------------------------- (f) wire format --
